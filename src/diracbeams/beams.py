@@ -19,10 +19,11 @@ Spin-orbit strength: delta = (1 - m/E) sin^2(theta0), in [0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .bessel import bessel_j_orders
+from .bessel import MAX_ORDER, bessel_j_orders
 from .dirac import current, density, plane_wave_spinor, spin_basis
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -39,7 +40,8 @@ class BeamConfig:
 
     p : momentum magnitude, >= 0
     theta0 : cone polar angle in radians, within [0, pi/2]
-    ell : vortex winding number (any integer)
+    ell : vortex winding number, an integer with |ell| <= MAX_ORDER - 1
+          (the field needs J_{ell-1} .. J_{ell+1})
     s : spin index, +0.5 or -0.5
     mass : rest mass, 1.0 by default
     """
@@ -57,11 +59,14 @@ class BeamConfig:
             raise ValueError(f"theta0 must lie in [0, pi/2], got {self.theta0}")
         if self.s not in (0.5, -0.5):
             raise ValueError(f"spin index must be +0.5 or -0.5, got {self.s}")
-        if self.ell != int(self.ell):
-            raise ValueError(f"vortex index must be an integer, got {self.ell}")
+        if isinstance(self.ell, bool) or not isinstance(self.ell, Integral):
+            raise ValueError(f"vortex index must be an integer, got {self.ell!r}")
+        if abs(self.ell) > MAX_ORDER - 1:
+            raise ValueError(f"vortex index must satisfy |ell| <= "
+                             f"{MAX_ORDER - 1}, got {self.ell}")
         object.__setattr__(self, "ell", int(self.ell))
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
+        if not np.isfinite(self.mass) or self.mass <= 0.0:
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
 
     @property
     def energy(self):

@@ -104,13 +104,17 @@ def _parse_flag(flag, parser_fn, value):
         raise ParameterError(f"{flag}: {exc}") from None
 
 
+def _beam_config(p, theta0, ell, s):
+    try:
+        return BeamConfig(p=p, theta0=theta0, ell=ell, s=s)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
+
+
 def _config_from_args(args):
     theta0 = _parse_flag("--theta0", parse_angle, args.theta0)
     s = _parse_flag("--s", parse_spin, args.s)
-    try:
-        return BeamConfig(p=args.p, theta0=theta0, ell=args.ell, s=s)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    return _beam_config(args.p, theta0, args.ell, s)
 
 
 def _beam_params(cfg):
@@ -197,7 +201,8 @@ def cmd_expect(args):
 def cmd_validate(args):
     report, ok = main_run(quick=args.quick, soi_fault=args.inject_fault)
     params = {"quick": bool(args.quick), "inject_fault": args.inject_fault}
-    _write_text(args.out, _json_text(params, {"passed": ok},
+    results = {"passed": ok, "elapsed_seconds": report["elapsed_seconds"]}
+    _write_text(args.out, _json_text(params, results,
                                      checks=report["checks"]))
     return 0 if ok else 2
 
@@ -219,7 +224,7 @@ def cmd_sweep(args):
     rows = []
     for p in ps:
         for th in thetas:
-            cfg = BeamConfig(p=float(p), theta0=float(th), ell=args.ell, s=s)
+            cfg = _beam_config(float(p), float(th), args.ell, s)
             rep = beam_expectations(cfg, n_nodes=128)
             rows.append([cfg.p, cfg.theta0, cfg.ell, cfg.s, cfg.delta,
                          rep.l_z, rep.s_z, rep.m_z, rep.berry_phase,

@@ -55,6 +55,21 @@ class TestBeamConfig:
         with pytest.raises(ValueError):
             BeamConfig(p=1.0, theta0=0.5, ell=0.5, s=0.5)
 
+    @pytest.mark.parametrize("bad", [
+        {"mass": float("nan")}, {"mass": float("inf")}, {"mass": 0.0},
+        {"ell": True}, {"ell": 2.0}, {"ell": 1.5},
+        {"ell": 200}, {"ell": -200}, {"ell": 10**6},
+    ])
+    def test_rejects_input_outside_domain(self, bad):
+        kwargs = {"p": 2.4, "theta0": np.pi / 4, "ell": 1, "s": 0.5} | bad
+        with pytest.raises(ValueError):
+            BeamConfig(**kwargs)
+
+    def test_accepts_numpy_integers_up_to_ell_max(self):
+        for ell in (np.int64(199), np.int32(-199), np.int8(3)):
+            cfg = make_cfg(ell=ell)
+            assert type(cfg.ell) is int and cfg.ell == int(ell)
+
 
 class TestClosedForm:
     def test_paraxial_reduces_to_plane_wave(self):

@@ -50,6 +50,11 @@ class TestParsing:
                         "--out", str(tmp_path / "x.csv")]) == 1
         assert run_cli(["nonsense"]) == 1
 
+    @pytest.mark.parametrize("command", ["profile", "expect", "sweep", "linear"])
+    def test_ell_outside_domain_is_parameter_error(self, command, capsys):
+        assert run_cli([command, "--ell", "200"]) == 1
+        assert "parameter error" in capsys.readouterr().err
+
 
 class TestProfile:
     def test_central_value_down_spin(self, tmp_path):
@@ -147,7 +152,11 @@ class TestValidate:
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
         run_cli(["validate", "--quick", "--out", str(out1)])
         run_cli(["validate", "--quick", "--out", str(out2)])
-        assert json.loads(out1.read_text()) == json.loads(out2.read_text())
+        docs = [json.loads(out1.read_text()), json.loads(out2.read_text())]
+        # Everything but the wall time must repeat exactly.
+        for doc in docs:
+            assert doc["results"].pop("elapsed_seconds") > 0.0
+        assert docs[0] == docs[1]
 
     def test_injected_fault_caught_exit_2(self, tmp_path):
         out = tmp_path / "v.json"
