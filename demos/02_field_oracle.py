@@ -13,7 +13,8 @@ Run:  python demos/02_field_oracle.py
 
 import numpy as np
 
-from diracbeams import BeamConfig, field_closed_form, field_quadrature
+from diracbeams import BeamConfig, field_closed_form
+from diracbeams.oracles import field_quadrature
 
 print(__doc__)
 

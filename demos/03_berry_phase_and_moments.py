@@ -23,10 +23,10 @@ from diracbeams import (
     BeamConfig,
     beam_expectations,
     berry_connection,
-    berry_connection_numeric,
     berry_phase,
     magnetic_moment,
 )
+from diracbeams.oracles import berry_connection_numeric
 
 print(__doc__)
 

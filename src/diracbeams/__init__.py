@@ -30,25 +30,19 @@ from .beams import (
     RadialProfile,
     density_profile,
     field_closed_form,
-    field_quadrature,
-    profile_from_field,
 )
 from .foldy import (
     ExpectationReport,
     ZeroMomentumError,
     beam_expectations,
     berry_connection,
-    berry_connection_numeric,
     berry_curvature,
-    berry_curvature_from_connection,
     berry_phase,
     caustic_radius,
     fw_unitary,
     magnetic_moment,
-    positive_block,
     sam_operator,
     soi_operator,
-    soi_operator_from_connection,
     spin_operator,
 )
 from .linear_density import (
@@ -74,9 +68,7 @@ __all__ = [
     "ZeroMomentumError",
     "beam_expectations",
     "berry_connection",
-    "berry_connection_numeric",
     "berry_curvature",
-    "berry_curvature_from_connection",
     "berry_phase",
     "bessel_j",
     "bessel_j_array",
@@ -89,17 +81,13 @@ __all__ = [
     "dirac_matrices",
     "energy",
     "field_closed_form",
-    "field_quadrature",
     "fw_unitary",
     "linear_expectations",
     "magnetic_moment",
     "pauli_matrices",
     "plane_wave_spinor",
-    "positive_block",
-    "profile_from_field",
     "sam_operator",
     "soi_operator",
-    "soi_operator_from_connection",
     "spin_basis",
     "spin_operator",
     "__version__",

@@ -1,17 +1,13 @@
 """Spinor Bessel beams: exact cylindrical solutions of the free Dirac equation.
 
 A beam is a monoenergetic superposition of plane waves on a cone of polar
-angle theta0 with azimuthal winding exp(i ell phi).  Two independent
-routes to the field are provided:
-
-* ``field_closed_form`` -- the analytic three-term Bessel expression,
-* ``field_quadrature``  -- direct numerical superposition of plane waves
-  over the cone azimuth (periodic trapezoid rule, spectrally accurate).
-
-The two agree including the global phase; that agreement is the central
-correctness oracle of the package.  The radial delta of the cone spectrum
-is consumed analytically, so only the azimuthal integral is ever
-discretized.
+angle theta0 with azimuthal winding exp(i ell phi).  ``field_closed_form``
+is the analytic three-term Bessel expression for its spinor field and
+``density_profile`` the closed-form density and current.  Their oracles,
+plane-wave quadrature over the cone azimuth and the bispinor density of
+the sampled field, live in ``oracles``; the closed form and the quadrature
+agree including the global phase, the central correctness check of the
+package.
 
 Spin-orbit strength: delta = (1 - m/E) sin^2(theta0), in [0, 1).
 """
@@ -24,15 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from .bessel import MAX_ORDER, bessel_j_orders
-from .dirac import current, density, plane_wave_spinor, spin_basis
-
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _i_pow(n):
-    """i**n for integer n, exact on the 4-cycle."""
-    return _I_POW[n % 4]
-
+from .dirac import spin_basis
 
 @dataclass(frozen=True)
 class BeamConfig:
@@ -117,10 +105,17 @@ class RadialProfile:
     j_phi: np.ndarray
 
 
-def _closed_form(cfg, r, phi, z, t, w, soi_scale):
-    """Three-term analytic field; soi_scale != 1 is a fault-injection knob
-    used by the self-validation suite (it scales delta in the spin-orbit
-    amplitudes only)."""
+def field_closed_form(cfg, r, phi, z=0.0, t=0.0, w=None):
+    """Beam field from the analytic Bessel expression.
+
+    Parameters broadcast together; the result has shape
+    broadcast(r, phi, z, t) + (4,).  ``w`` overrides the polarization
+    spinor (defaults to the basis state selected by cfg.s); profiles for
+    mixed polarizations are available only through this field route.
+    """
+    w = cfg.polarization if w is None else np.asarray(w, dtype=complex)
+    if abs(np.vdot(w, w).real - 1.0) > 1e-12:
+        raise ValueError("polarization spinor must have unit norm")
     r, phi, z, t = np.broadcast_arrays(
         np.asarray(r, dtype=float),
         np.asarray(phi, dtype=float),
@@ -134,7 +129,7 @@ def _closed_form(cfg, r, phi, z, t, w, soi_scale):
     u = cfg.mass / cfg.energy
     a_up = np.sqrt((1.0 + u) / 2.0)
     b_low = np.sqrt((1.0 - u) / 2.0) * np.cos(cfg.theta0)
-    c_soi = np.sqrt(soi_scale * cfg.delta / 2.0)
+    c_soi = np.sqrt(cfg.delta / 2.0)
 
     alpha, beta = w
     e_l = np.exp(1j * ell * phi)
@@ -149,50 +144,6 @@ def _closed_form(cfg, r, phi, z, t, w, soi_scale):
     psi[..., 3] = -b_low * beta * e_l * j_l + 1j * c_soi * alpha * e_lp * j_lp
     psi *= phase[..., None]
     return psi
-
-
-def field_closed_form(cfg, r, phi, z=0.0, t=0.0, w=None):
-    """Beam field from the analytic Bessel expression.
-
-    Parameters broadcast together; the result has shape
-    broadcast(r, phi, z, t) + (4,).  ``w`` overrides the polarization
-    spinor (defaults to the basis state selected by cfg.s); profiles for
-    mixed polarizations are available only through this field route.
-    """
-    w = cfg.polarization if w is None else np.asarray(w, dtype=complex)
-    if abs(np.vdot(w, w).real - 1.0) > 1e-12:
-        raise ValueError("polarization spinor must have unit norm")
-    return _closed_form(cfg, r, phi, z, t, w, soi_scale=1.0)
-
-
-def field_quadrature(cfg, r, phi, z=0.0, t=0.0, n_nodes=512, w=None):
-    """Beam field by direct plane-wave superposition over the cone azimuth.
-
-    Periodic trapezoid rule with ``n_nodes`` nodes; the integrand is smooth
-    and 2pi-periodic, so convergence is spectral.  Serves as the
-    independent oracle for ``field_closed_form`` -- prefactors are kept so
-    the two agree including global phase.
-    """
-    if n_nodes < 64:
-        raise ValueError("n_nodes must be >= 64")
-    w = cfg.polarization if w is None else np.asarray(w, dtype=complex)
-    r, phi, z, t = np.broadcast_arrays(
-        np.asarray(r, dtype=float),
-        np.asarray(phi, dtype=float),
-        np.asarray(z, dtype=float),
-        np.asarray(t, dtype=float),
-    )
-    nodes = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    spinors = plane_wave_spinor(cfg.cone_momenta(nodes), w, cfg.mass)
-
-    xi = cfg.k_perp * r
-    osc = np.exp(
-        1j * xi[..., None] * np.cos(nodes - phi[..., None])
-        + 1j * cfg.ell * nodes
-    )
-    phase = np.exp(1j * (cfg.p_par * z - cfg.energy * t))
-    pref = phase / (_i_pow(cfg.ell) * n_nodes)
-    return pref[..., None] * np.einsum("...n,nc->...c", osc, spinors)
 
 
 def density_profile(cfg, xi):
@@ -215,36 +166,3 @@ def density_profile(cfg, xi):
     j_z = (cfg.p_par / cfg.energy) * j_l**2
     j_phi = (cfg.p_perp / cfg.energy) * j_l * j_p
     return RadialProfile(xi=xi, rho=rho, j_z=j_z, j_phi=j_phi)
-
-
-def profile_from_field(cfg, xi, n_phi=1):
-    """Density/current profile evaluated through the field + bispinor route.
-
-    Independent cross-check of ``density_profile``: builds the closed-form
-    field on the grid and applies the bispinor density/current.  The
-    cylindrical components come from the Cartesian current at each sampled
-    azimuth (they are azimuth-independent for the spin basis states).
-    """
-    xi = np.asarray(xi, dtype=float)
-    k = cfg.k_perp
-    if k == 0.0:
-        r = np.zeros_like(xi)
-    else:
-        r = xi / k
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    rho = np.zeros_like(xi)
-    j_z = np.zeros_like(xi)
-    j_phi = np.zeros_like(xi)
-    j_r = np.zeros_like(xi)
-    for ph in phis:
-        psi = field_closed_form(cfg, r, ph)
-        j = current(psi)
-        rho += density(psi)
-        j_z += j[..., 2]
-        j_phi += -np.sin(ph) * j[..., 0] + np.cos(ph) * j[..., 1]
-        j_r += np.cos(ph) * j[..., 0] + np.sin(ph) * j[..., 1]
-    rho /= n_phi
-    j_z /= n_phi
-    j_phi /= n_phi
-    j_r /= n_phi
-    return RadialProfile(xi=xi, rho=rho, j_z=j_z, j_phi=j_phi), j_r

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .beams import BeamConfig, density_profile
-from .foldy import beam_expectations
+from .foldy import beam_expectations, caustic_radius, magnetic_moment
 from .linear_density import ExtrapolationError, linear_expectations
 from .validation import main_run
 
@@ -138,9 +138,14 @@ def cmd_profile(args):
     params = _beam_params(cfg)
     params.update({"xi_max": args.xi_max, "points": args.points,
                    "pair": bool(args.pair)})
+    spins = (+0.5, -0.5) if args.pair else (cfg.s,)
+    try:
+        profs = [density_profile(BeamConfig(cfg.p, cfg.theta0, cfg.ell, sp), xi)
+                 for sp in spins]
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
     if args.pair:
-        up = density_profile(BeamConfig(cfg.p, cfg.theta0, cfg.ell, +0.5), xi)
-        dn = density_profile(BeamConfig(cfg.p, cfg.theta0, cfg.ell, -0.5), xi)
+        up, dn = profs
         header = ["xi", "rho_plus", "j_z_plus", "j_phi_plus",
                   "rho_minus", "j_z_minus", "j_phi_minus"]
         rows = np.column_stack([xi, up.rho, up.j_z, up.j_phi,
@@ -153,7 +158,7 @@ def cmd_profile(args):
             "j_phi_minus": dn.j_phi.tolist(),
         }
     else:
-        prof = density_profile(cfg, xi)
+        prof, = profs
         header = ["xi", "rho", "j_z", "j_phi"]
         rows = np.column_stack([xi, prof.rho, prof.j_z, prof.j_phi])
         results = {"xi": xi.tolist(), "rho": prof.rho.tolist(),
@@ -225,10 +230,11 @@ def cmd_sweep(args):
     for p in ps:
         for th in thetas:
             cfg = _beam_config(float(p), float(th), args.ell, s)
-            rep = beam_expectations(cfg, n_nodes=128)
-            rows.append([cfg.p, cfg.theta0, cfg.ell, cfg.s, cfg.delta,
-                         rep.l_z, rep.s_z, rep.m_z, rep.berry_phase,
-                         rep.caustic_radius])
+            d = cfg.delta
+            rows.append([cfg.p, cfg.theta0, cfg.ell, cfg.s, d,
+                         cfg.ell + d * cfg.s, cfg.s - d * cfg.s,
+                         magnetic_moment(cfg), 2.0 * np.pi * d * cfg.s,
+                         caustic_radius(cfg)])
     params = {
         "ell": args.ell, "s": s,
         "p_min": args.p_min, "p_max": args.p_max, "p_points": args.p_points,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import ALPHA, BETA, EYE4, PAULI, energy, plane_wave_spinor
+from .dirac import ALPHA, BETA, EYE4, PAULI, energy
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -60,16 +60,12 @@ def fw_unitary(p, mass=1.0):
     )
 
 
-def positive_block(mat4):
-    """Upper-left 2x2 sector of a 4x4 operator (positive-energy projection)."""
-    return np.asarray(mat4)[:2, :2]
-
-
 def berry_connection(p, mass=1.0):
     """Berry connection A = (p x sigma) (1 - m/E) / (2 p^2), shape (3, 2, 2).
 
-    Equals i * positive_block(U^dag dU/dp) componentwise; each component
-    is Hermitian.  Singular at p = 0.
+    Equals i times the positive-energy block of U^dag dU/dp componentwise
+    (``oracles.berry_connection_numeric``); each component is Hermitian.
+    Singular at p = 0.
     """
     p, pn = _norm(p)
     if pn == 0.0:
@@ -77,22 +73,6 @@ def berry_connection(p, mass=1.0):
     e = float(energy(p, mass))
     f = (1.0 - mass / e) / (2.0 * pn * pn)
     return f * np.einsum("ijk,j,kab->iab", _EPS3, p, PAULI)
-
-
-def berry_connection_numeric(p, mass=1.0, rel_step=1e-6):
-    """Finite-difference i * P+ (U^dag dU/dp), the oracle for the closed form."""
-    p, pn = _norm(p)
-    if pn == 0.0:
-        raise ZeroMomentumError("Berry connection is undefined at p = 0")
-    h = rel_step * pn
-    u_dag = fw_unitary(p, mass).conj().T
-    out = np.empty((3, 2, 2), dtype=complex)
-    for i in range(3):
-        dp = np.zeros(3)
-        dp[i] = h
-        du = (fw_unitary(p + dp, mass) - fw_unitary(p - dp, mass)) / (2.0 * h)
-        out[i] = 1j * positive_block(u_dag @ du)
-    return out
 
 
 def berry_curvature(p, mass=1.0):
@@ -113,29 +93,6 @@ def berry_curvature(p, mass=1.0):
     )
 
 
-def berry_curvature_from_connection(p, mass=1.0, rel_step=1e-5):
-    """Non-Abelian field strength of the closed-form connection, by central
-    differences: F_k = (1/2) eps_kij (dA_j/dp_i - dA_i/dp_j - i [A_i, A_j])."""
-    p, pn = _norm(p)
-    if pn == 0.0:
-        raise ZeroMomentumError("Berry curvature is undefined at p = 0")
-    h = rel_step * pn
-    a = berry_connection(p, mass)
-    grad = np.empty((3, 3, 2, 2), dtype=complex)  # grad[i, j] = dA_j / dp_i
-    for i in range(3):
-        dp = np.zeros(3)
-        dp[i] = h
-        grad[i] = (
-            berry_connection(p + dp, mass) - berry_connection(p - dp, mass)
-        ) / (2.0 * h)
-    f_tensor = (
-        grad
-        - np.swapaxes(grad, 0, 1)
-        - 1j * (np.einsum("iab,jbc->ijac", a, a) - np.einsum("jab,ibc->ijac", a, a))
-    )
-    return 0.5 * np.einsum("kij,ijab->kab", _EPS3, f_tensor)
-
-
 def spin_operator():
     """Non-relativistic spin S = sigma/2 (positive-energy block), (3, 2, 2)."""
     return PAULI / 2.0
@@ -147,7 +104,7 @@ def soi_operator(p, mass=1.0):
     The amount of angular momentum transferred from spin to orbit: it is
     added to the canonical OAM and subtracted from the spin, so their sum
     stays canonical.  Equals A x p with the Berry connection A (see
-    ``soi_operator_from_connection``).
+    ``oracles.soi_operator_from_connection``).
     """
     p, pn = _norm(p)
     if pn == 0.0:
@@ -157,14 +114,6 @@ def soi_operator(p, mass=1.0):
     s = spin_operator()
     kappa_s = np.einsum("i,iab->ab", kappa, s)
     return (1.0 - mass / e) * (s - kappa[:, None, None] * kappa_s)
-
-
-def soi_operator_from_connection(p, mass=1.0):
-    """The same operator built as A x p; agreement with ``soi_operator``
-    is part of the validation suite."""
-    a = berry_connection(p, mass)
-    p = np.asarray(p, dtype=float)
-    return np.einsum("ijk,jab,k->iab", _EPS3, a, p)
 
 
 def sam_operator(p, mass=1.0):
@@ -322,9 +271,3 @@ def beam_expectations(cfg, n_nodes=512):
         p_z_numeric=p_z_mean,
         r_perp_numeric=float(np.hypot(a_perp[0], a_perp[1])),
     )
-
-
-def fw_plane_wave_check(p, w, mass=1.0):
-    """U^dag W(p) for a plane-wave bispinor; should equal (w, 0)."""
-    u = fw_unitary(p, mass)
-    return u.conj().T @ plane_wave_spinor(np.asarray(p, dtype=float), w, mass)

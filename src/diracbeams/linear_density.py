@@ -3,9 +3,9 @@
 An infinite Bessel beam carries a divergent number of electrons per unit
 length, so cross-section expectation values are regularized by modulating
 the transverse amplitude with a Gaussian envelope exp(-r^2 / 2 a^2) and
-extrapolating the width a to infinity (fit c0 + c1/a over a ladder of
-widths).  Widths are quoted in units of 1/k_perp, i.e. as dimensionless
-xi-widths.
+extrapolating the width a to infinity: the averages approach their limit
+as 1/a^2, so c0 + c2/a^2 is fitted over a ladder of widths.  Widths are
+quoted in units of 1/k_perp, i.e. as dimensionless xi-widths.
 
 Observables per unit z-length:
 
@@ -110,9 +110,9 @@ def _component_harmonics(cfg):
     return np.array([ell, ell, ell - 1, ell])
 
 
-def _fit_inverse_width(widths, values):
-    """Least-squares fit c0 + c1/a; returns (c0, c1, max residual)."""
-    design = np.column_stack([np.ones_like(widths), 1.0 / widths])
+def _fit_inverse_square_width(widths, values):
+    """Least-squares fit c0 + c2/a^2; returns (c0, c2, max residual)."""
+    design = np.column_stack([np.ones_like(widths), 1.0 / widths**2])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     resid = np.abs(design @ coef - values).max()
     return float(coef[0]), float(coef[1]), float(resid)
@@ -160,14 +160,17 @@ def linear_expectations(cfg, widths=(40.0, 60.0, 90.0, 135.0),
     ----------
     cfg : BeamConfig with p > 0 and theta0 > 0.
     widths : increasing ladder of Gaussian xi-widths (largest should be
-        well above ~50 for the 1/a fit to settle).
+        well above ~50 for the 1/a^2 fit to settle).
     radial_nodes : minimum Simpson node count per width (the grid is
         refined automatically so the oscillatory integrands stay resolved).
-    fit_tol : maximum tolerated residual of the c0 + c1/a fit, relative
+    fit_tol : maximum tolerated residual of the c0 + c2/a^2 fit, relative
         to max(1, |c0|); beyond it an ExtrapolationError is raised.
 
     Returns a LinearDensityReport.  The error estimates combine the fit
-    residual with the magnitude of the last increment in the ladder.
+    residual with the magnitude of the last increment in the ladder.  With
+    deviations falling as 1/a^2, that increment exceeds the last sample's
+    own distance to the limit whenever the last two widths differ by a
+    factor above sqrt(2), so the estimate bounds the extrapolation error.
     """
     widths = np.asarray(widths, dtype=float)
     if widths.ndim != 1 or len(widths) < 2:
@@ -182,7 +185,7 @@ def linear_expectations(cfg, widths=(40.0, 60.0, 90.0, 135.0),
 
     report_vals = {}
     for name, vals in (("l_z", l_s), ("s_z", s_s), ("m_z", m_s)):
-        c0, _, resid = _fit_inverse_width(widths, vals)
+        c0, _, resid = _fit_inverse_square_width(widths, vals)
         if resid > fit_tol * max(1.0, abs(c0)):
             raise ExtrapolationError(
                 f"width extrapolation of {name} did not converge "

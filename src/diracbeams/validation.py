@@ -1,51 +1,41 @@
 """Self-contained validation suite: every closed form against its oracle.
 
 Each check compares an analytic expression against an independent numeric
-route (quadrature, finite differences, recurrences) and records the
-measured figure next to its tolerance.  The suite is deterministic --
-direction sets and grids are fixed, no random draws -- so two consecutive
-runs produce identical reports.
+route (``oracles``, finite differences, recurrences) and records the
+measured figure next to its tolerance.  Grids are fixed and the one random
+draw is seeded, so two runs report the same values; only seconds differ.
 
-``run_checks(quick=True)`` executes a sub-10-second subset;
-``soi_fault`` scales the spin-orbit amplitude of the closed-form fields
-only, a deliberate inconsistency that the field-oracle check must catch
-(used to prove the suite has teeth).
+``REGISTRY`` orders the checks: each entry is a function returning its
+``CheckResult``s plus whether it belongs to the quick subset.  Checks that
+share a loop or a grid share an entry, so no work runs twice; the entry's
+wall time rides on its first check, so the seconds sum to the suite's.
+
+``run_checks(quick=True)`` executes a sub-10-second subset; ``soi_fault``
+multiplies the spin-flip lower component of the closed-form field by
+sqrt(soi_fault) before it meets the quadrature oracle, a deliberate
+inconsistency that the field-oracle check must catch.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import beams
-from .beams import BeamConfig, density_profile, field_quadrature, profile_from_field
+from .beams import BeamConfig, density_profile, field_closed_form
 from .bessel import bessel_j, bessel_j_array
 from .dirac import ALPHA, BETA, EYE4, current, density, energy, plane_wave_spinor, spin_basis
-from .foldy import (
-    beam_expectations,
-    berry_connection,
-    berry_connection_numeric,
-    berry_curvature,
-    berry_curvature_from_connection,
-    fw_plane_wave_check,
-    fw_unitary,
-    magnetic_moment,
-    soi_operator,
-    soi_operator_from_connection,
-)
+from .foldy import (beam_expectations, berry_connection, berry_curvature,
+                    fw_unitary, magnetic_moment, soi_operator)
 from .linear_density import cross_section_averages, linear_expectations
+from .oracles import (berry_connection_numeric, berry_curvature_from_connection,
+                      field_quadrature, fw_plane_wave_check, profile_from_field,
+                      soi_operator_from_connection)
 
 DIRECTIONS = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [1.0, 1.0, 1.0],
-        [1.0, -2.0, 2.0],
-        [-2.0, 1.0, 2.0],
-    ]
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -2, 2], [-2, 1, 2]],
+    dtype=float,
 )
 DIRECTIONS /= np.linalg.norm(DIRECTIONS, axis=1)[:, None]
 
@@ -59,6 +49,7 @@ class CheckResult:
     threshold: float
     comparison: str = "<="  # value <= threshold passes, or ">=" for floors
     note: str = ""
+    seconds: float = 0.0  # wall time of the registry entry, on its first check
 
     @property
     def passed(self):
@@ -67,22 +58,14 @@ class CheckResult:
         return bool(self.value >= self.threshold)
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def _bessel_checks():
+def _bessel_identities(quick, soi_fault):
     out = []
-    orders = range(-50, 51, 10)
     xs = np.array([0.1, 0.5, 1.3, 5.0, 17.0, 40.0, 100.0])
     worst = 0.0
-    for n in orders:
+    for n in range(-50, 51, 10):
         refl = bessel_j_array(-n, xs) - (-1.0) ** n * bessel_j_array(n, xs)
         worst = max(worst, float(np.abs(refl).max()))
     out.append(CheckResult("bessel_reflection", worst, 0.0,
@@ -105,7 +88,7 @@ def _bessel_checks():
     return out
 
 
-def _dirac_checks():
+def _dirac_algebra(quick, soi_fault):
     out = []
     worst = 0.0
     for i in range(3):
@@ -140,7 +123,7 @@ def _dirac_checks():
     return out
 
 
-def _field_oracle_check(quick, soi_fault):
+def _field_oracle(quick, soi_fault):
     xis = np.array([0.0, 2.5, 7.0, 13.0, 20.0])
     phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     zs = np.array([-1.3, 0.0, 2.1])
@@ -156,19 +139,18 @@ def _field_oracle_check(quick, soi_fault):
             for s in (0.5, -0.5):
                 cfg = BeamConfig(p=2.4, theta0=theta0, ell=ell, s=s)
                 r = grid[0] / cfg.k_perp if cfg.k_perp > 0 else grid[0]
-                closed = beams._closed_form(
-                    cfg, r, grid[1], grid[2], grid[3], cfg.polarization,
-                    soi_scale=soi_fault,
-                )
+                closed = field_closed_form(cfg, r, grid[1], grid[2], grid[3])
+                # The spin-flip component carries all of the spin-orbit term.
+                closed[..., 3 if s > 0 else 2] *= np.sqrt(soi_fault)
                 quad = field_quadrature(cfg, r, grid[1], grid[2], grid[3],
                                         n_nodes=512)
                 n_ref = np.linalg.norm(closed)
                 diff = np.linalg.norm(closed - quad)
                 worst = max(worst, diff / n_ref if n_ref > 1e-12 else diff)
-    return CheckResult("field_closed_vs_quadrature", float(worst), 1e-9)
+    return [CheckResult("field_closed_vs_quadrature", float(worst), 1e-9)]
 
 
-def _beam_checks(quick):
+def _profiles(quick, soi_fault):
     out = []
     xi = np.linspace(0.0, 20.0, 81 if quick else 321)
     worst_rho = worst_j = worst_jr = 0.0
@@ -199,7 +181,21 @@ def _beam_checks(quick):
         jmag2 = np.hypot(p2.j_z, p2.j_phi)
         worst = max(worst, float(np.abs(jmag1 - jmag2).max()))
     out.append(CheckResult("symmetry_ell_s_flip", worst, 1e-12))
+    return out
 
+
+def _phi_derivative(cfg, r, phi, z=0.0, t=0.0, h=1e-5):
+    """Closed-form field and its central difference in phi."""
+    psi = field_closed_form(cfg, r, phi, z, t)
+    dpsi = (
+        field_closed_form(cfg, r, phi + h, z, t)
+        - field_closed_form(cfg, r, phi - h, z, t)
+    ) / (2.0 * h)
+    return psi, dpsi
+
+
+def _eigenstructure(quick, soi_fault):
+    out = []
     # strict spin splitting at the first density peak (ell = 1, delta = 0.3)
     cfg_m = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=-0.5)
     cfg_p = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5)
@@ -213,17 +209,12 @@ def _beam_checks(quick):
 
     # J_z eigenstate by central finite difference in phi
     worst = 0.0
-    h = 1e-5
     pts = [(1.7, 0.9, 0.3, 0.2), (4.2, 2.5, -1.0, 0.7)]
     for ell in (0, 1, -1, 3):
         for s in (0.5, -0.5):
             cfg = BeamConfig(p=2.4, theta0=np.pi / 4, ell=ell, s=s)
             for (r, phi, z, t) in pts:
-                psi = beams.field_closed_form(cfg, r, phi, z, t)
-                dpsi = (
-                    beams.field_closed_form(cfg, r, phi + h, z, t)
-                    - beams.field_closed_form(cfg, r, phi - h, z, t)
-                ) / (2.0 * h)
+                psi, dpsi = _phi_derivative(cfg, r, phi, z, t)
                 jz_psi = -1j * dpsi + psi @ SIGMA_Z4.T
                 resid = np.linalg.norm(jz_psi - (ell + s) * psi)
                 worst = max(worst, float(resid / np.linalg.norm(psi)))
@@ -231,25 +222,20 @@ def _beam_checks(quick):
 
     # delta = 0: simultaneously L_z and Sigma_z eigenstate
     cfg = BeamConfig(p=2.4, theta0=0.0, ell=0, s=0.5)
-    psi = beams.field_closed_form(cfg, 1.3, 0.8)
-    dpsi = (
-        beams.field_closed_form(cfg, 1.3, 0.8 + h)
-        - beams.field_closed_form(cfg, 1.3, 0.8 - h)
-    ) / (2.0 * h)
+    psi, dpsi = _phi_derivative(cfg, 1.3, 0.8)
     lz_res = float(np.linalg.norm(-1j * dpsi - cfg.ell * psi))
     sz_res = float(np.linalg.norm(psi @ SIGMA_Z4.T - cfg.s * psi))
     out.append(CheckResult("paraxial_lz_sz_eigenstate", max(lz_res, sz_res), 1e-8))
 
     # rho independent of z and t (pure phase)
     cfg = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5)
-    base = density(beams.field_closed_form(cfg, 2.0, 0.3, 0.0, 0.0))
-    moved = density(beams.field_closed_form(cfg, 2.0, 0.3, 3.7, 1.9))
+    base = density(field_closed_form(cfg, 2.0, 0.3, 0.0, 0.0))
+    moved = density(field_closed_form(cfg, 2.0, 0.3, 3.7, 1.9))
     out.append(CheckResult("density_z_t_invariance", float(abs(base - moved)), 1e-14))
     return out
 
 
-def _fw_checks(quick):
-    out = []
+def _fw_transform(quick, soi_fault):
     worst_u = worst_d = worst_w = 0.0
     for pn in (0.1, 1.0, 2.4, 10.0):
         for d in DIRECTIONS:
@@ -266,10 +252,12 @@ def _fw_checks(quick):
                 wp = fw_plane_wave_check(p, w)
                 target = np.concatenate([w, np.zeros(2)])
                 worst_w = max(worst_w, float(np.abs(wp - target).max()))
-    out.append(CheckResult("fw_unitarity", worst_u, 1e-14))
-    out.append(CheckResult("fw_diagonalization", worst_d, 1e-13))
-    out.append(CheckResult("fw_plane_wave_rotation", worst_w, 1e-13))
+    return [CheckResult("fw_unitarity", worst_u, 1e-14),
+            CheckResult("fw_diagonalization", worst_d, 1e-13),
+            CheckResult("fw_plane_wave_rotation", worst_w, 1e-13)]
 
+
+def _berry_structures(quick, soi_fault):
     worst_a = worst_f = worst_soi = 0.0
     for pn in (0.5, 2.4):
         for d in DIRECTIONS:
@@ -283,10 +271,12 @@ def _fw_checks(quick):
             worst_soi = max(worst_soi, float(np.abs(
                 soi_operator(p) - soi_operator_from_connection(p)
             ).max()))
-    out.append(CheckResult("berry_connection_oracle", worst_a, 1e-7))
-    out.append(CheckResult("berry_curvature_oracle", worst_f, 1e-6))
-    out.append(CheckResult("soi_operator_two_forms", worst_soi, 1e-12))
+    return [CheckResult("berry_connection_oracle", worst_a, 1e-7),
+            CheckResult("berry_curvature_oracle", worst_f, 1e-6),
+            CheckResult("soi_operator_two_forms", worst_soi, 1e-12)]
 
+
+def _expectations(quick, soi_fault):
     worst_l = worst_sum = worst_phase = worst_m = 0.0
     cfgs = [
         BeamConfig(p=2.4, theta0=np.pi / 4, ell=3, s=0.5),
@@ -304,48 +294,57 @@ def _fw_checks(quick):
         worst_m = max(worst_m, abs(
             magnetic_moment(cfg) - (rep.l_z + 2.0 * rep.s_z)))
         worst_m = max(worst_m, abs(rep.r_perp_numeric))
-    out.append(CheckResult("expectations_numeric_vs_closed", worst_l, 1e-10))
-    out.append(CheckResult("am_conservation", worst_sum, 1e-12))
-    out.append(CheckResult("berry_phase_loop", worst_phase, 1e-8))
-    out.append(CheckResult("moment_decomposition", worst_m, 1e-12))
-    return out
+    return [CheckResult("expectations_numeric_vs_closed", worst_l, 1e-10),
+            CheckResult("am_conservation", worst_sum, 1e-12),
+            CheckResult("berry_phase_loop", worst_phase, 1e-8),
+            CheckResult("moment_decomposition", worst_m, 1e-12)]
 
 
-def _linear_checks():
-    out = []
+def _linear(quick, soi_fault):
     cfg = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5)
     rep = linear_expectations(cfg, widths=(40.0, 60.0, 90.0), radial_nodes=3000)
     target = cfg.ell + cfg.delta * cfg.s
-    out.append(CheckResult("linear_oam_density", abs(rep.l_z - target), 1e-3))
-    out.append(CheckResult(
-        "linear_am_sum", abs(rep.l_z + rep.s_z - (cfg.ell + cfg.s)), 1e-12,
-        note="enveloped field stays a J_z eigenstate",
-    ))
     v1 = cross_section_averages(cfg, 60.0, radial_nodes=3000)
     v2 = cross_section_averages(cfg, 60.0, radial_nodes=6000)
     worst = max(abs((a - b) / a) for a, b in zip(v1, v2))
-    out.append(CheckResult("linear_radial_convergence", worst, 1e-8))
-    out.append(CheckResult(
-        "linear_moment_reported", abs(rep.m_z_comparison["orbital_plus_spin"]),
-        0.0, comparison=">=",
-        note=(
-            "|m_z - (ell + 2s)|; informational -- the envelope surrogate "
-            "misses the magnetization current, see package docs"
-        ),
-    ))
-    return out
+    return [
+        CheckResult("linear_oam_density", abs(rep.l_z - target), 1e-3),
+        CheckResult("linear_am_sum", abs(rep.l_z + rep.s_z - (cfg.ell + cfg.s)),
+                    1e-12, note="enveloped field stays a J_z eigenstate"),
+        CheckResult("linear_radial_convergence", worst, 1e-8),
+        CheckResult("linear_moment_reported",
+                    abs(rep.m_z_comparison["orbital_plus_spin"]), 0.0,
+                    comparison=">=",
+                    note=("|m_z - (ell + 2s)|; informational -- the envelope "
+                          "surrogate misses the magnetization current, see "
+                          "package docs")),
+    ]
+
+
+# (run, in the quick subset); run(quick, soi_fault) returns CheckResults.
+REGISTRY = (
+    (_bessel_identities, True),
+    (_dirac_algebra, True),
+    (_field_oracle, True),
+    (_profiles, True),
+    (_eigenstructure, True),
+    (_fw_transform, True),
+    (_berry_structures, True),
+    (_expectations, True),
+    (_linear, False),
+)
 
 
 def run_checks(quick=False, soi_fault=1.0):
     """Run the validation suite; returns (list of CheckResult, all_passed)."""
     checks = []
-    checks.extend(_bessel_checks())
-    checks.extend(_dirac_checks())
-    checks.append(_field_oracle_check(quick, soi_fault))
-    checks.extend(_beam_checks(quick))
-    checks.extend(_fw_checks(quick))
-    if not quick:
-        checks.extend(_linear_checks())
+    for run, in_quick in REGISTRY:
+        if quick and not in_quick:
+            continue
+        t0 = time.perf_counter()
+        results = run(quick, soi_fault)
+        results[0].seconds = time.perf_counter() - t0
+        checks.extend(results)
     return checks, all(c.passed for c in checks)
 
 

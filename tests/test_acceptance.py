@@ -11,6 +11,10 @@ to (ell + s) pointwise, so with the OAM density at ell + delta*s (clause
 10a, which passes) the SAM density sits at s - delta*s, a distance
 delta*s ~ 0.154 from the target.  The clause is asserted as stated and
 fails honestly rather than being weakened; see the repository notes.
+
+Criteria 01, 04, 05, 06 and 11 are registered validation checks: they read
+their figures from one full run of the suite (the ``validation_run``
+fixture) instead of computing them a second time.
 """
 
 import time
@@ -18,33 +22,10 @@ import time
 import numpy as np
 import pytest
 
-from diracbeams.beams import (
-    BeamConfig,
-    density_profile,
-    field_closed_form,
-    field_quadrature,
-)
-from diracbeams.dirac import ALPHA, BETA, EYE4, energy, spin_basis
-from diracbeams.foldy import (
-    beam_expectations,
-    berry_connection,
-    berry_connection_numeric,
-    berry_curvature,
-    berry_curvature_from_connection,
-    berry_phase,
-    fw_unitary,
-    magnetic_moment,
-)
+from diracbeams.beams import BeamConfig, density_profile
+from diracbeams.foldy import beam_expectations, berry_phase, magnetic_moment
 from diracbeams.linear_density import linear_expectations
-from diracbeams.validation import main_run
-
-DIRECTIONS = np.array(
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -2, 2], [-2, 1, 2]],
-    dtype=float,
-)
-DIRECTIONS /= np.linalg.norm(DIRECTIONS, axis=1)[:, None]
-
-SIGMA_Z4 = 0.5 * np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+from diracbeams.validation import run_checks
 
 REFERENCE = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5)
 
@@ -53,28 +34,10 @@ def _line(criterion, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
 
 
-def test_criterion_01_field_oracle_equivalence():
-    t0 = time.perf_counter()
-    xis = np.array([0.0, 2.5, 7.0, 13.0, 20.0])
-    phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    zs = np.array([-1.3, 0.0, 2.1])
-    ts = np.array([0.0, 0.9])
-    XI, PH, Z, T = np.meshgrid(xis, phis, zs, ts, indexing="ij")
-    worst = 0.0
-    for theta0 in (np.pi / 4, 0.0):
-        for ell in (0, 1, 3, -1):
-            for s in (0.5, -0.5):
-                cfg = BeamConfig(p=2.4, theta0=theta0, ell=ell, s=s)
-                r = XI / cfg.k_perp if cfg.k_perp > 0.0 else XI
-                closed = field_closed_form(cfg, r, PH, Z, T)
-                quad = field_quadrature(cfg, r, PH, Z, T, n_nodes=512)
-                n_ref = np.linalg.norm(closed)
-                diff = np.linalg.norm(closed - quad)
-                # degenerate combinations (paraxial, ell != 0) vanish
-                # identically: check them absolutely
-                rel = diff / n_ref if n_ref > 1e-12 else diff
-                worst = max(worst, rel)
-    elapsed = time.perf_counter() - t0
+def test_criterion_01_field_oracle_equivalence(validation_run):
+    checks, _, _ = validation_run
+    field = checks["field_closed_vs_quadrature"]
+    worst, elapsed = field.value, field.seconds
     ok = worst <= 1e-9 and elapsed < 5.0
     _line(1, ok, f"closed vs quadrature rel err {worst:.3e} "
                  f"(<= 1e-9), runtime {elapsed:.2f}s (< 5s)")
@@ -106,35 +69,18 @@ def test_criterion_03_central_intensity_dichotomy():
     assert rho_up == 0.0
 
 
-def test_criterion_04_total_am_eigenstate():
-    h = 1e-5
-    worst = 0.0
-    for ell in (0, 1, -1, 3):
-        for s in (0.5, -0.5):
-            cfg = BeamConfig(p=2.4, theta0=np.pi / 4, ell=ell, s=s)
-            for (r, phi, z, t) in [(1.7, 0.9, 0.3, 0.2), (4.2, 2.5, -1.0, 0.7)]:
-                psi = field_closed_form(cfg, r, phi, z, t)
-                dpsi = (field_closed_form(cfg, r, phi + h, z, t)
-                        - field_closed_form(cfg, r, phi - h, z, t)) / (2 * h)
-                jz_psi = -1j * dpsi + psi @ SIGMA_Z4.T
-                resid = np.linalg.norm(jz_psi - (ell + s) * psi)
-                worst = max(worst, float(resid / np.linalg.norm(psi)))
+def test_criterion_04_total_am_eigenstate(validation_run):
+    checks, _, _ = validation_run
+    worst = checks["total_am_eigenstate"].value
     ok = worst <= 1e-8
     _line(4, ok, f"J_z eigenstate residual {worst:.3e} (<= 1e-8)")
     assert worst <= 1e-8
 
 
-def test_criterion_05_fw_properties():
-    worst_u = worst_d = 0.0
-    for pn in (0.1, 1.0, 2.4, 10.0):
-        for d in DIRECTIONS:
-            p = pn * d
-            u = fw_unitary(p)
-            hmat = np.einsum("i,iab->ab", p, ALPHA) + BETA
-            e = float(energy(p))
-            worst_u = max(worst_u, float(np.abs(u.conj().T @ u - EYE4).max()))
-            worst_d = max(worst_d,
-                          float(np.abs(u.conj().T @ hmat @ u - BETA * e).max()))
+def test_criterion_05_fw_properties(validation_run):
+    checks, _, _ = validation_run
+    worst_u = checks["fw_unitarity"].value
+    worst_d = checks["fw_diagonalization"].value
     ok = worst_u <= 1e-14 and worst_d <= 1e-13
     _line(5, ok, f"unitarity {worst_u:.3e} (<= 1e-14), "
                  f"diagonalization {worst_d:.3e} (<= 1e-13) on 4x6 grid")
@@ -142,15 +88,10 @@ def test_criterion_05_fw_properties():
     assert worst_d <= 1e-13
 
 
-def test_criterion_06_berry_structure_oracles():
-    worst_a = worst_f = 0.0
-    for pn in (0.5, 2.4):
-        for d in DIRECTIONS:
-            p = pn * d
-            worst_a = max(worst_a, float(np.abs(
-                berry_connection(p) - berry_connection_numeric(p)).max()))
-            worst_f = max(worst_f, float(np.abs(
-                berry_curvature(p) - berry_curvature_from_connection(p)).max()))
+def test_criterion_06_berry_structure_oracles(validation_run):
+    checks, _, _ = validation_run
+    worst_a = checks["berry_connection_oracle"].value
+    worst_f = checks["berry_curvature_oracle"].value
     ok = worst_a <= 1e-7 and worst_f <= 1e-6
     _line(6, ok, f"connection FD {worst_a:.3e} (<= 1e-7), "
                  f"curvature FD {worst_f:.3e} (<= 1e-6)")
@@ -262,22 +203,10 @@ def test_criterion_10c_linear_moment_reported(linear_report):
     assert ok
 
 
-def test_criterion_11_symmetry_suite():
-    xi = np.linspace(0.0, 20.0, 321)
-    worst = 0.0
-    for ell, s in ((1, 0.5), (3, -0.5), (2, 0.5)):
-        p1 = density_profile(BeamConfig(p=2.4, theta0=np.pi / 4, ell=ell, s=s), xi)
-        p2 = density_profile(BeamConfig(p=2.4, theta0=np.pi / 4, ell=-ell, s=-s), xi)
-        worst = max(worst, float(np.abs(p1.rho - p2.rho).max()))
-        worst = max(worst, float(np.abs(
-            np.hypot(p1.j_z, p1.j_phi) - np.hypot(p2.j_z, p2.j_phi)).max()))
-    fine = np.linspace(0.0, 6.0, 1201)
-    rho_m = density_profile(BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=-0.5),
-                            fine).rho
-    rho_p = density_profile(BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5),
-                            fine).rho
-    peak = int(np.argmax(rho_m))
-    split = float(abs(rho_p[peak] - rho_m[peak]))
+def test_criterion_11_symmetry_suite(validation_run):
+    checks, _, _ = validation_run
+    worst = checks["symmetry_ell_s_flip"].value
+    split = checks["spin_splitting_at_peak"].value
     ok = worst <= 1e-12 and split > 1e-3
     _line(11, ok, f"(-ell,-s) invariance {worst:.3e} (<= 1e-12); "
                   f"s-flip split at first peak {split:.3e} (> 1e-3)")
@@ -285,14 +214,18 @@ def test_criterion_11_symmetry_suite():
     assert split > 1e-3
 
 
-def test_criterion_12_validation_suite():
+def test_criterion_12_validation_suite(validation_run):
+    checks1, ok1, elapsed1 = validation_run
     t0 = time.perf_counter()
-    rep1, ok1 = main_run(quick=False)
-    rep2, ok2 = main_run(quick=False)
-    elapsed = time.perf_counter() - t0
-    rep1.pop("elapsed_seconds", None)
-    rep2.pop("elapsed_seconds", None)
-    deterministic = rep1 == rep2
+    checks2, ok2 = run_checks(quick=False)
+    elapsed = elapsed1 + time.perf_counter() - t0
+
+    def without_seconds(checks):
+        return [{k: v for k, v in c.as_dict().items() if k != "seconds"}
+                for c in checks]
+
+    deterministic = (without_seconds(checks1.values())
+                     == without_seconds(checks2))
     ok = ok1 and ok2 and deterministic and elapsed < 120.0
     _line(12, ok, f"validation suite passed={ok1}, deterministic="
                   f"{deterministic}, two runs in {elapsed:.1f}s (< 120s)")

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from diracbeams.beams import (
-    BeamConfig,
-    density_profile,
-    field_closed_form,
-    field_quadrature,
-    profile_from_field,
-)
-from diracbeams.dirac import current, density, energy, plane_wave_spinor, spin_basis
-
-SIGMA_Z4 = 0.5 * np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+from diracbeams.beams import BeamConfig, density_profile, field_closed_form
+from diracbeams.dirac import density, plane_wave_spinor
+from diracbeams.oracles import field_quadrature, profile_from_field
+from diracbeams.validation import SIGMA_Z4
 
 
 def make_cfg(ell=1, s=0.5, p=2.4, theta0=np.pi / 4):

@@ -5,6 +5,7 @@ arithmetic, so cancellation is a non-issue); scipy.special provides an
 additional independent cross-check over wide grids.
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -108,8 +109,8 @@ def test_scipy_cross_check_wide_grid():
 def test_large_argument_branch():
     # Far outside the recurrence range: Hankel expansion takes over.
     for n in (0, 2, 5):
-        x = 50_000.0
-        assert abs(bessel_j(n, x) - special.jv(n, x)) < 1e-12
+        for x in (50_000.0, 1e5):
+            assert abs(bessel_j(n, x) - special.jv(n, x)) < 1e-12
 
 
 def test_roundoff_negative_clamped_to_zero():
@@ -126,6 +127,12 @@ def test_domain_errors():
         bessel_j(0, np.inf)
     with pytest.raises(ValueError):
         bessel_j(1.5, 1.0)
+    # x > 4000 with x < 12 n^2 would need a recurrence whose start index
+    # grows with x (~0.24 s for this point): rejected before any work.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="tested domain"):
+        bessel_j(199, 3e4)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_array_shapes_preserved():

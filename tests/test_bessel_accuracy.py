@@ -4,7 +4,8 @@ domain 0 <= x <= 4000, |n| <= 200, with an absolute budget of 1e-13.
 The points cover the whole Miller range (12, 4000], the reach of the
 linear-density grid (xi ~ 1080) and both sides of every regime edge:
 x = 12 (series / Miller), x^2 = 4n (series / Miller) and x = 4000 (Miller /
-Hankel, for the orders with 12 n^2 <= 4000).
+Hankel, for the orders with 12 n^2 <= 4000; for the others the point just
+above 4000 lies outside the domain and must raise).
 """
 
 import math
@@ -57,8 +58,12 @@ def test_miller_range_within_budget(n):
 @pytest.mark.parametrize("n", ORDERS)
 def test_regime_edges_within_budget(n):
     xs = edge_points(n)
-    err = np.abs(bessel_j_array(n, xs) - j_mpmath(n, xs))
-    assert err.max() <= BUDGET, xs[err.argmax()]
+    inside = (xs <= 4000.0) | (xs >= 12.0 * n * n)
+    err = np.abs(bessel_j_array(n, xs[inside]) - j_mpmath(n, xs[inside]))
+    assert err.max() <= BUDGET, xs[inside][err.argmax()]
+    for x in xs[~inside]:
+        with pytest.raises(ValueError):
+            bessel_j_array(n, np.array([x]))
 
 
 def test_linear_grid_reach_within_budget():

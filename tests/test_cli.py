@@ -49,6 +49,8 @@ class TestParsing:
         assert run_cli(["profile", "--points", "1",
                         "--out", str(tmp_path / "x.csv")]) == 1
         assert run_cli(["nonsense"]) == 1
+        # xi up to 3e4 at ell = 150 lies beyond the tested Bessel domain
+        assert run_cli(["profile", "--ell", "150", "--xi-max", "30000"]) == 1
 
     @pytest.mark.parametrize("command", ["profile", "expect", "sweep", "linear"])
     def test_ell_outside_domain_is_parameter_error(self, command, capsys):
@@ -153,9 +155,11 @@ class TestValidate:
         run_cli(["validate", "--quick", "--out", str(out1)])
         run_cli(["validate", "--quick", "--out", str(out2)])
         docs = [json.loads(out1.read_text()), json.loads(out2.read_text())]
-        # Everything but the wall time must repeat exactly.
+        # Everything but the wall times must repeat exactly.
         for doc in docs:
             assert doc["results"].pop("elapsed_seconds") > 0.0
+            for check in doc["checks"]:
+                assert check.pop("seconds") >= 0.0
         assert docs[0] == docs[1]
 
     def test_injected_fault_caught_exit_2(self, tmp_path):

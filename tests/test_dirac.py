@@ -14,27 +14,11 @@ from diracbeams.dirac import (
     plane_wave_spinor,
     spin_basis,
 )
-
-DIRECTIONS = np.array(
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -2, 2], [-2, 1, 2]],
-    dtype=float,
-)
-DIRECTIONS /= np.linalg.norm(DIRECTIONS, axis=1)[:, None]
+from diracbeams.validation import DIRECTIONS
 
 
 def test_beta_is_diag_1_1_m1_m1():
     assert np.array_equal(BETA, np.diag([1, 1, -1, -1]).astype(complex))
-
-
-def test_clifford_relations():
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            anti = ALPHA[i] @ ALPHA[j] + ALPHA[j] @ ALPHA[i]
-            worst = max(worst, np.abs(anti - 2.0 * (i == j) * EYE4).max())
-        worst = max(worst, np.abs(ALPHA[i] @ BETA + BETA @ ALPHA[i]).max())
-    worst = max(worst, np.abs(BETA @ BETA - EYE4).max())
-    assert worst <= 1e-15
 
 
 def test_alpha_dot_unit_momentum_squares_to_identity():

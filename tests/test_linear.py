@@ -61,10 +61,21 @@ class TestExtrapolatedValues:
             report.m_z - (cfg.ell + 2 * cfg.s), abs=1e-15
         )
 
+
+
     def test_error_estimates_bound_truth(self, cfg, report):
-        assert abs(report.l_z - (cfg.ell + cfg.delta * cfg.s)) <= \
-            10.0 * report.l_z_error
-        assert report.l_z_error > 0.0
+        # The reported errors must bound the distances to the exact limits,
+        # ell + delta*s for the OAM density and ell + s for the moment
+        # integral, on the reference beam and two more.
+        reports = [(cfg, report)] + [
+            (c, linear_expectations(c, widths=WIDTHS, radial_nodes=4000))
+            for c in (BeamConfig(p=3.0, theta0=1.0, ell=-2, s=-0.5),
+                      BeamConfig(p=1.5, theta0=0.6, ell=3, s=0.5))
+        ]
+        for c, rep in reports:
+            assert rep.l_z_error > 0.0
+            assert abs(rep.l_z - (c.ell + c.delta * c.s)) <= rep.l_z_error
+            assert abs(rep.m_z - (c.ell + c.s)) <= rep.m_z_error
 
 
 class TestNumericalBehavior:
