@@ -18,7 +18,12 @@ from diracbeams.foldy import (
     soi_operator,
     spin_operator,
 )
-from diracbeams.oracles import fw_plane_wave_check, soi_operator_from_connection
+from diracbeams.oracles import (
+    berry_connection_numeric,
+    berry_curvature_from_connection,
+    fw_plane_wave_check,
+    soi_operator_from_connection,
+)
 from diracbeams.validation import DIRECTIONS
 
 
@@ -65,6 +70,14 @@ class TestBerryConnection:
             for i in range(3):
                 assert np.abs(a[i] - a[i].conj().T).max() <= 1e-15
 
+    @pytest.mark.parametrize("pn", [0.5, 2.4])
+    def test_finite_difference_oracle(self, pn):
+        for d in DIRECTIONS:
+            p = pn * d
+            closed = berry_connection(p)
+            numeric = berry_connection_numeric(p, rel_step=1e-6)
+            assert np.abs(closed - numeric).max() <= 1e-7
+
     def test_vanishes_toward_rest(self):
         p = 1e-3 * DIRECTIONS[4]
         a = berry_connection(p)
@@ -90,6 +103,14 @@ class TestBerryCurvature:
             "i,ab->iab", kappa, np.einsum("i,iab->ab", kappa, PAULI)
         ) / (2.0 * e2)
         assert np.abs(berry_curvature(p) - target).max() * e2 <= 1e-6
+
+    @pytest.mark.parametrize("pn", [0.5, 2.4])
+    def test_field_strength_oracle(self, pn):
+        for d in DIRECTIONS:
+            p = pn * d
+            closed = berry_curvature(p)
+            numeric = berry_curvature_from_connection(p)
+            assert np.abs(closed - numeric).max() <= 1e-6
 
 
 class TestSoiOperator:
