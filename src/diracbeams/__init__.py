@@ -12,7 +12,7 @@ all momenta are p/m; every observable depends only on p/m and the cone
 angle theta0.
 """
 
-from .bessel import bessel_j, bessel_j_array, bessel_j_orders
+from .bessel import bessel_j, bessel_j_orders
 from .dirac import (
     ALPHA,
     BETA,
@@ -71,7 +71,6 @@ __all__ = [
     "berry_curvature",
     "berry_phase",
     "bessel_j",
-    "bessel_j_array",
     "bessel_j_orders",
     "caustic_radius",
     "cross_section_averages",

@@ -1,25 +1,28 @@
 """Integer-order cylindrical Bessel functions J_n.
 
 Every beam profile in this package reduces to J_n of a dimensionless
-radius, so the evaluator is kept self-contained.  Three regimes:
+radius, so the evaluator is kept self-contained.  The regime depends on
+the argument alone:
 
-* ascending power series where it is cancellation-free (small argument,
-  or order high enough that the terms decrease from the first one),
-  summed in numpy.longdouble (80-bit extended on x86-64), because the
-  cancellation up to e^12 at x = 12 needs the extra digits,
-* Miller backward recurrence normalized with J_0 + 2*sum_k J_{2k} = 1
-  for everything else, in float64: one downward sweep per octave block of
-  arguments captures every requested order, with exact power-of-two
-  rescaling at an interval bounded by the largest per-step growth,
-* the large-argument Hankel expansion once the argument is far outside
-  the range where the recurrence is affordable: x > 4000 and x >= 12 n^2.
+* x = 0: exactly delta_{n0},
+* 0 < x < _TINY_X = 12 * 2^-30 (about 1.1e-8): the two-term ascending
+  series (x/2)^n/n! (1 - (x/2)^2/(n+1)) in float64, which stays finite
+  for subnormal x, where 2/x overflows,
+* _TINY_X <= x <= 4000: Miller backward recurrence normalized with
+  J_0 + 2*sum_k J_{2k} = 1, in float64: one downward sweep per fixed
+  octave block of arguments (edges 12 * 2^k, from _TINY_X up) captures
+  every requested order, with exact power-of-two rescaling at an interval
+  bounded by the largest per-step growth,
+* x > 4000 and x >= 12 n^2: the large-argument Hankel expansion, the
+  only place that still uses numpy.longdouble (for its phase reduction).
 
 The tested domain is 0 <= x <= 4000 and |n| <= 200 (MAX_ORDER), plus the
 Hankel regime; x > 4000 with x < 12 n^2 raises ValueError rather than run
 a recurrence whose start index grows with x.  The absolute error budget
 is 1e-13; the largest error against 30-digit mpmath, over 26 orders and
-1100 arguments in (12, 4000], is 5.2e-15.  Negative orders reduce exactly
-via J_{-n}(x) = (-1)^n J_n(x).
+1100 arguments in (12, 4000], is 5.2e-15, and over orders 0..200 and
+arguments from 5e-324 to 12 it is 1.9e-16.  Negative orders reduce
+exactly via J_{-n}(x) = (-1)^n J_n(x).
 
 All functions are pure and stateless; concurrent use is safe.
 """
@@ -30,15 +33,13 @@ from numbers import Integral
 
 import numpy as np
 
-_LD = np.longdouble
-_PI_LD = _LD("3.14159265358979323846264338327950288")
-
-# Regime boundaries.  The series is safe below _SERIES_X_MAX (cancellation
-# amplifies roundoff by ~e^x, affordable in longdouble), and for any x once
-# n >= x^2/4 (term magnitudes then decrease monotonically).  The Hankel
-# expansion takes over only where the recurrence would need >~4000 steps.
-_SERIES_X_MAX = 12.0
+# Regime boundaries.  Below _TINY_X two terms of the ascending series are
+# exact to double precision; the Hankel expansion takes over only where
+# the recurrence would need >~4000 steps.
+_TINY_X = 12.0 * 2.0**-30
 _MILLER_X_MAX = 4000.0
+# Upper edges of the Miller blocks: 12 * 2^k, the last one above 4000.
+_MILLER_EDGES = _TINY_X * 2.0 ** np.arange(1, 40)
 _NEG_CLAMP = -1e-9
 
 # Largest |n| inside the tested accuracy domain (see the module docstring).
@@ -51,13 +52,8 @@ def bessel_j(n, x):
     Tiny negative x from roundoff in radius computations is clamped to 0;
     anything else outside the domain raises ValueError.
     """
-    out = bessel_j_array(n, np.asarray(x, dtype=float))
+    out = bessel_j_orders((n,), x)[0]
     return float(out) if out.ndim == 0 else out
-
-
-def bessel_j_array(n, x):
-    """Vectorized J_n over an array of arguments, one fixed order."""
-    return bessel_j_orders((n,), x)[0]
 
 
 def bessel_j_orders(orders, x):
@@ -89,71 +85,59 @@ def bessel_j_orders(orders, x):
         raise ValueError(f"J_{n_max} beyond x = {_MILLER_X_MAX:g} needs x >= "
                          f"12 n^2 = {12 * n_max * n_max}: outside the tested domain")
 
-    out = np.empty((len(orders), flat.size), dtype=float)
-    values = _j_nonneg_orders(sorted({abs(n) for n in orders}), flat)
+    if not orders:
+        return np.empty((0,) + shape)
+    ns = sorted({abs(n) for n in orders})
+    values = _j_nonneg_orders(ns, flat)
+    out = values[[ns.index(abs(n)) for n in orders]]
     # Negative orders reduce through the reflection identity.
-    for k, n in enumerate(orders):
-        sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-        out[k] = sign * values[abs(n)]
+    out[[k for k, n in enumerate(orders) if n < 0 and n % 2]] *= -1.0
     return out.reshape((len(orders),) + shape)
 
 
 def _j_nonneg_orders(ns, x):
-    """{n: J_n} for the orders ns >= 0 over a flat float64 array.
+    """J_n for the sorted orders ns >= 0 over a flat float64 array.
 
-    Series and Hankel points are evaluated order by order; the points that
-    need the recurrence for any order share one Miller sweep per octave
-    block of arguments, which captures every order that block needs.
+    Returns shape (len(ns), x.size).  The Miller points share one sweep
+    per fixed octave block, which captures every order in the same pass,
+    so a point's value never depends on which other points share the call.
     """
-    res = {n: np.empty(x.size, dtype=float) for n in ns}
-    miller = {}
-    for n in ns:
-        series = (x <= _SERIES_X_MAX) | (4.0 * n >= x * x)
-        asym = ~series & (x > _MILLER_X_MAX) & (x >= 12.0 * n * n)
-        if series.any():
-            res[n][series] = _series(n, x[series].astype(_LD)).astype(float)
-        if asym.any():
-            res[n][asym] = _hankel(n, x[asym].astype(_LD)).astype(float)
-        miller[n] = ~(series | asym)
-
-    idx = np.flatnonzero(np.logical_or.reduce(list(miller.values())))
-    if idx.size == 0:
-        return res
-    # Octave blocks with fixed edges, so a point's block never depends on
-    # which other points or orders share the call.
-    edges = [_SERIES_X_MAX]
-    while edges[-1] < float(x[idx].max()):
-        edges.append(edges[-1] * 2.0)
-    bins = np.searchsorted(np.asarray(edges), x[idx], side="left")
+    res = np.zeros((len(ns), x.size))
+    if ns[0] == 0:
+        res[0, x == 0.0] = 1.0
+    tiny = (x > 0.0) & (x < _TINY_X)
+    if tiny.any():
+        res[:, tiny] = _tiny_series(ns, x[tiny])
+    # The domain check leaves only Hankel points above _MILLER_X_MAX.
+    asym = x > _MILLER_X_MAX
+    if asym.any():
+        for k, n in enumerate(ns):
+            res[k, asym] = _hankel(n, x[asym])
+    idx = np.flatnonzero((x >= _TINY_X) & ~asym)
+    bins = np.searchsorted(_MILLER_EDGES, x[idx], side="left")
     for b in np.unique(bins):
         pts = idx[bins == b]
-        need = [n for n in ns if miller[n][pts].any()]
-        for n, vals in zip(need, _miller_block(need, x[pts])):
-            sel = miller[n][pts]
-            res[n][pts[sel]] = vals[sel]
+        res[:, pts] = _miller_block(ns, x[pts])
     return res
 
 
-def _series(n, xl):
-    """Ascending power series in longdouble.
+def _tiny_series(ns, x):
+    """Two-term series (x/2)^n/n! (1 - (x/2)^2/(n+1)) for 0 < x < _TINY_X.
 
-    Valid whenever the terms never grow relative to the first one, or the
-    growth hump stays within the extra longdouble digits (x <= 12).
+    The first omitted term is below 1e-33 of the leading one.  Nothing
+    divides by x, so subnormal arguments stay finite.
     """
-    half = xl / _LD(2)
-    # Leading (x/2)^n / n! built iteratively to dodge overflow of n!.
-    term = np.ones_like(xl)
-    for k in range(1, n + 1):
-        term = term * half / _LD(k)
-    total = term.copy()
+    half = 0.5 * x
     q = half * half
-    with np.errstate(under="ignore"):
-        for k in range(1, 400):
-            term = -term * q / (_LD(k) * _LD(n + k))
-            total += term
-            if np.all(np.abs(term) <= _LD("1e-25") * (np.abs(total) + _LD("1e-4900"))):
-                break
-    return total
+    lead = np.ones(x.size)
+    out = np.empty((len(ns), x.size))
+    done = 0
+    for i, n in enumerate(ns):
+        for k in range(done + 1, n + 1):
+            lead *= half / k
+        done = n
+        out[i] = lead * (1.0 - q / (n + 1))
+    return out
 
 
 def _miller_block(orders, x):
@@ -210,21 +194,29 @@ def _miller_block(orders, x):
     return [captured[n] / norm for n in orders]
 
 
-def _hankel(n, xl):
-    """Large-argument Hankel expansion, dynamically truncated."""
-    mu = _LD(4 * n * n)
-    inv8x = _LD(1) / (_LD(8) * xl)
+def _hankel(n, x):
+    """Large-argument Hankel expansion, dynamically truncated.
+
+    Summed in numpy.longdouble (80-bit extended on x86-64), whose extra
+    digits keep the reduction of the phase x - (2n+1) pi/4 modulo 2 pi
+    accurate at large x.
+    """
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    xl = x.astype(ld)
+    mu = ld(4 * n * n)
+    inv8x = ld(1) / (ld(8) * xl)
     p = np.ones_like(xl)
     q = np.zeros_like(xl)
     term = np.ones_like(xl)
     prev_mag = np.inf
     for k in range(1, 40):
-        term = term * (mu - _LD((2 * k - 1) ** 2)) * inv8x / _LD(k)
+        term = term * (mu - ld((2 * k - 1) ** 2)) * inv8x / ld(k)
         mag = float(np.abs(term).max())
         if mag >= prev_mag:
             break  # asymptotic tail started growing: truncate before it
         # Q takes the odd-k terms, P the even ones, each with signs +, -, ...
-        sign = _LD(1) if (k // 2) % 2 == 0 else _LD(-1)
+        sign = ld(1) if (k // 2) % 2 == 0 else ld(-1)
         if k % 2 == 1:
             q += sign * term
         else:
@@ -232,6 +224,6 @@ def _hankel(n, xl):
         if mag < 1e-22:
             break
         prev_mag = mag
-    chi = np.mod(xl - _LD(2 * n + 1) * _PI_LD / _LD(4), _LD(2) * _PI_LD)
-    amp = np.sqrt(_LD(2) / (_PI_LD * xl))
-    return amp * (np.cos(chi) * p - np.sin(chi) * q)
+    chi = np.mod(xl - ld(2 * n + 1) * pi / ld(4), ld(2) * pi)
+    amp = np.sqrt(ld(2) / (pi * xl))
+    return (amp * (np.cos(chi) * p - np.sin(chi) * q)).astype(float)

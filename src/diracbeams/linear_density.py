@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beams import BeamConfig, field_closed_form
-from .dirac import current, density
+from .dirac import current
 
 SIGMA_Z_DIAG = np.array([0.5, -0.5, 0.5, -0.5])
 
@@ -62,11 +62,6 @@ class RegularizedBeam:
 
     def envelope(self, xi):
         return np.exp(-np.asarray(xi, dtype=float) ** 2 / (2.0 * self.a**2))
-
-    def field(self, r, phi, z=0.0, t=0.0):
-        bare = field_closed_form(self.cfg, r, phi, z, t)
-        xi = self.cfg.k_perp * np.asarray(r, dtype=float)
-        return bare * self.envelope(xi)[..., None]
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .beams import BeamConfig, density_profile, field_closed_form
-from .bessel import bessel_j, bessel_j_array
+from .bessel import bessel_j_orders
 from .dirac import ALPHA, BETA, EYE4, current, density, energy, plane_wave_spinor, spin_basis
 from .foldy import (beam_expectations, berry_connection, berry_curvature,
                     fw_unitary, magnetic_moment, soi_operator)
@@ -62,29 +62,28 @@ class CheckResult:
 
 
 def _bessel_identities(quick, soi_fault):
-    out = []
     xs = np.array([0.1, 0.5, 1.3, 5.0, 17.0, 40.0, 100.0])
-    worst = 0.0
-    for n in range(-50, 51, 10):
-        refl = bessel_j_array(-n, xs) - (-1.0) ** n * bessel_j_array(n, xs)
-        worst = max(worst, float(np.abs(refl).max()))
-    out.append(CheckResult("bessel_reflection", worst, 0.0,
-                           note="J_{-n} - (-1)^n J_n, exact reduction"))
+    ns = np.arange(-50, 51, 10)
+    j = bessel_j_orders(ns.tolist(), xs)
+    # ns is symmetric, so the reversed rows hold J_{-n}.
+    refl = j[::-1] - ((-1.0) ** ns)[:, None] * j
+    out = [CheckResult("bessel_reflection", float(np.abs(refl).max()), 0.0,
+                       note="J_{-n} - (-1)^n J_n, exact reduction")]
 
-    worst = 0.0
-    for n in range(-50, 51, 5):
-        jm, jc, jp = (bessel_j_array(k, xs) for k in (n - 1, n, n + 1))
-        resid = np.abs(jm + jp - (2.0 * n / xs) * jc)
-        worst = max(worst, float(resid.max()))
-    out.append(CheckResult("bessel_recurrence", worst, 1e-10))
+    # Three calls, so that no single sweep produced all three values.
+    ns = np.arange(-50, 51, 5)
+    jm, jc, jp = (bessel_j_orders((ns + k).tolist(), xs) for k in (-1, 0, 1))
+    resid = np.abs(jm + jp - (2.0 * ns[:, None] / xs) * jc)
+    out.append(CheckResult("bessel_recurrence", float(resid.max()), 1e-10))
 
-    worst = 0.0
-    for x in (0.7, 3.0, 11.0, 30.0):
-        total = bessel_j(0, x) ** 2 + 2.0 * sum(
-            bessel_j(n, x) ** 2 for n in range(1, int(x) + 60)
-        )
-        worst = max(worst, abs(total - 1.0))
-    out.append(CheckResult("bessel_normalization_sum", worst, 1e-10))
+    xs = np.array([0.7, 3.0, 11.0, 30.0])
+    ns = np.arange(int(xs.max()) + 60)
+    j2 = bessel_j_orders(ns.tolist(), xs) ** 2
+    # Each argument sums the orders n < int(x) + 60.
+    j2[ns[:, None] >= xs.astype(int) + 60] = 0.0
+    total = j2[0] + 2.0 * j2[1:].sum(axis=0)
+    out.append(CheckResult("bessel_normalization_sum",
+                           float(np.abs(total - 1.0).max()), 1e-10))
     return out
 
 
@@ -312,12 +311,11 @@ def _linear(quick, soi_fault):
         CheckResult("linear_am_sum", abs(rep.l_z + rep.s_z - (cfg.ell + cfg.s)),
                     1e-12, note="enveloped field stays a J_z eigenstate"),
         CheckResult("linear_radial_convergence", worst, 1e-8),
-        CheckResult("linear_moment_reported",
-                    abs(rep.m_z_comparison["orbital_plus_spin"]), 0.0,
-                    comparison=">=",
-                    note=("|m_z - (ell + 2s)|; informational -- the envelope "
-                          "surrogate misses the magnetization current, see "
-                          "package docs")),
+        CheckResult("linear_moment_reported", abs(rep.m_z - (cfg.ell + cfg.s)),
+                    float(rep.m_z_error),
+                    note=("|m_z - (ell + s)| within the reported m_z error; "
+                          "the envelope surrogate misses the magnetization "
+                          "current, see package docs")),
     ]
 
 

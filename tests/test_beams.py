@@ -5,7 +5,7 @@ import pytest
 
 from diracbeams.beams import BeamConfig, density_profile, field_closed_form
 from diracbeams.dirac import density, plane_wave_spinor
-from diracbeams.oracles import field_quadrature, profile_from_field
+from diracbeams.oracles import field_quadrature
 from diracbeams.validation import SIGMA_Z4
 
 
@@ -149,18 +149,6 @@ class TestProfiles:
         assert down == pytest.approx(cfg.delta / 2.0, abs=1e-15)
         assert up == 0.0
 
-    @pytest.mark.parametrize("ell", [0, 1, 3, -1])
-    @pytest.mark.parametrize("s", [0.5, -0.5])
-    def test_profile_matches_field_route(self, ell, s):
-        cfg = make_cfg(ell=ell, s=s)
-        xi = np.linspace(0.0, 20.0, 161)
-        prof = density_profile(cfg, xi)
-        via_field, j_r = profile_from_field(cfg, xi, n_phi=3)
-        assert np.abs(prof.rho - via_field.rho).max() <= 1e-12
-        assert np.abs(prof.j_z - via_field.j_z).max() <= 1e-12
-        assert np.abs(prof.j_phi - via_field.j_phi).max() <= 1e-12
-        assert np.abs(j_r).max() <= 1e-12
-
     def test_rho_nonnegative_and_shapes(self):
         cfg = make_cfg(ell=3, s=-0.5)
         xi = np.linspace(0.0, 40.0, 500)
@@ -195,21 +183,6 @@ class TestProfiles:
 
 
 class TestEigenstructure:
-    @pytest.mark.parametrize("ell", [0, 1, -1, 3])
-    @pytest.mark.parametrize("s", [0.5, -0.5])
-    def test_total_am_eigenstate(self, ell, s):
-        cfg = make_cfg(ell=ell, s=s)
-        h = 1e-5
-        for (r, phi, z, t) in [(1.7, 0.9, 0.3, 0.2), (4.2, 2.5, -1.0, 0.7)]:
-            psi = field_closed_form(cfg, r, phi, z, t)
-            dpsi = (
-                field_closed_form(cfg, r, phi + h, z, t)
-                - field_closed_form(cfg, r, phi - h, z, t)
-            ) / (2.0 * h)
-            jz_psi = -1j * dpsi + psi @ SIGMA_Z4.T
-            resid = np.linalg.norm(jz_psi - (ell + s) * psi)
-            assert resid / np.linalg.norm(psi) <= 1e-8
-
     def test_paraxial_separate_eigenstates(self):
         # delta = 0: simultaneously an OAM and a spin eigenstate
         cfg = BeamConfig(p=2.4, theta0=0.0, ell=0, s=-0.5)

@@ -51,17 +51,6 @@ def test_unit_norm_for_generic_momenta():
         assert abs(np.vdot(psi, psi).real - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("pn", [0.1, 1.0, 2.4, 10.0])
-@pytest.mark.parametrize("s", [0.5, -0.5])
-def test_hamiltonian_eigenvector(pn, s):
-    for d in DIRECTIONS:
-        p = pn * d
-        h = np.einsum("i,iab->ab", p, ALPHA) + BETA
-        psi = plane_wave_spinor(p, spin_basis(s))
-        resid = np.linalg.norm(h @ psi - float(energy(p)) * psi)
-        assert resid <= 1e-13
-
-
 def test_plane_wave_density_and_current():
     p = np.array([0.0, 0.0, 2.4])
     psi = plane_wave_spinor(p, spin_basis(0.5))
