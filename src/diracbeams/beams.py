@@ -22,16 +22,23 @@ import numpy as np
 from .bessel import MAX_ORDER, bessel_j_orders
 from .dirac import spin_basis
 
+# Largest momentum magnitude and mass: the FW kernels square momenta
+# component-wise (p @ p, p^2 + m^2), which overflows near 1e154 and
+# underflows to an exact zero, a spurious p = 0, below about 1e-162.
+MAX_MOMENTUM = 1e150
+MIN_MOMENTUM = 1.0 / MAX_MOMENTUM
+
+
 @dataclass(frozen=True)
 class BeamConfig:
     """Physical beam parameters, natural units (momenta in units of mass).
 
-    p : momentum magnitude, >= 0
+    p : momentum magnitude, 0 or within [MIN_MOMENTUM, MAX_MOMENTUM]
     theta0 : cone polar angle in radians, within [0, pi/2]
     ell : vortex winding number, an integer with |ell| <= MAX_ORDER - 1
           (the field needs J_{ell-1} .. J_{ell+1})
     s : spin index, +0.5 or -0.5
-    mass : rest mass, 1.0 by default
+    mass : rest mass, 0 < mass <= MAX_MOMENTUM, 1.0 by default
     """
 
     p: float
@@ -41,8 +48,9 @@ class BeamConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.p) or self.p < 0.0:
-            raise ValueError(f"momentum must be finite and >= 0, got {self.p}")
+        if not (self.p == 0.0 or MIN_MOMENTUM <= self.p <= MAX_MOMENTUM):
+            raise ValueError(f"momentum must be 0 or lie in [{MIN_MOMENTUM:g}, "
+                             f"{MAX_MOMENTUM:g}], got {self.p}")
         if not 0.0 <= self.theta0 <= np.pi / 2.0 + 1e-15:
             raise ValueError(f"theta0 must lie in [0, pi/2], got {self.theta0}")
         if self.s not in (0.5, -0.5):
@@ -53,8 +61,9 @@ class BeamConfig:
             raise ValueError(f"vortex index must satisfy |ell| <= "
                              f"{MAX_ORDER - 1}, got {self.ell}")
         object.__setattr__(self, "ell", int(self.ell))
-        if not np.isfinite(self.mass) or self.mass <= 0.0:
-            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+        if not 0.0 < self.mass <= MAX_MOMENTUM:
+            raise ValueError(f"mass must lie in (0, {MAX_MOMENTUM:g}], "
+                             f"got {self.mass}")
 
     @property
     def energy(self):
@@ -158,9 +167,24 @@ def density_profile(cfg, xi):
     suite); this closed form exists only for the spin basis states.
     """
     xi = np.asarray(xi, dtype=float)
-    ell = cfg.ell
-    partner = int(round(ell + 2 * cfg.s))
-    j_l, j_p = bessel_j_orders((ell, partner), xi)
+    partner = int(round(cfg.ell + 2 * cfg.s))
+    j_l, j_p = bessel_j_orders((cfg.ell, partner), xi)
+    return _profile(cfg, xi, j_l, j_p)
+
+
+def spin_pair_profiles(cfg, xi):
+    """``density_profile`` for s = +1/2 and s = -1/2, in that order.
+
+    One Bessel call serves both spins: J_{ell-1}, J_ell and J_{ell+1}.
+    cfg.s is ignored; delta, p_par, p_perp and E do not depend on it.
+    """
+    xi = np.asarray(xi, dtype=float)
+    j_lm, j_l, j_lp = bessel_j_orders((cfg.ell - 1, cfg.ell, cfg.ell + 1), xi)
+    return _profile(cfg, xi, j_l, j_lp), _profile(cfg, xi, j_l, j_lm)
+
+
+def _profile(cfg, xi, j_l, j_p):
+    """``density_profile``'s formulas, from J_ell and J_{ell+2s}."""
     d = cfg.delta
     rho = (1.0 - d / 2.0) * j_l**2 + (d / 2.0) * j_p**2
     j_z = (cfg.p_par / cfg.energy) * j_l**2

@@ -24,11 +24,18 @@ is 1e-13; the largest error against 30-digit mpmath, over 26 orders and
 arguments from 5e-324 to 12 it is 1.9e-16.  Negative orders reduce
 exactly via J_{-n}(x) = (-1)^n J_n(x).
 
-All functions are pure and stateless; concurrent use is safe.
+``counting()`` opens an opt-in tally of the work done inside it: calls,
+values, argument points per regime, Miller blocks and Miller steps.  Off,
+it costs one context-variable lookup per call.
+
+All functions are pure; concurrent use is safe, and each thread or task
+sees only its own tally.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from numbers import Integral
 
 import numpy as np
@@ -44,6 +51,29 @@ _NEG_CLAMP = -1e-9
 
 # Largest |n| inside the tested accuracy domain (see the module docstring).
 MAX_ORDER = 200
+
+
+_COUNTS = ContextVar("bessel_counts", default=None)
+
+
+@contextmanager
+def counting():
+    """Tally the Bessel work done inside the block into the yielded dict.
+
+    calls: bessel_j_orders calls; values: orders x points returned;
+    zero_points, tiny_points, miller_points, hankel_points: arguments
+    served by each regime; miller_blocks: downward sweeps; miller_steps:
+    recurrence steps summed over the sweeps.  A nested block tallies its
+    own work only, not into the enclosing one.
+    """
+    counts = dict.fromkeys(
+        ("calls", "values", "zero_points", "tiny_points", "miller_points",
+         "hankel_points", "miller_blocks", "miller_steps"), 0)
+    token = _COUNTS.set(counts)
+    try:
+        yield counts
+    finally:
+        _COUNTS.reset(token)
 
 
 def bessel_j(n, x):
@@ -85,22 +115,27 @@ def bessel_j_orders(orders, x):
         raise ValueError(f"J_{n_max} beyond x = {_MILLER_X_MAX:g} needs x >= "
                          f"12 n^2 = {12 * n_max * n_max}: outside the tested domain")
 
+    counts = _COUNTS.get()
+    if counts is not None:
+        counts["calls"] += 1
+        counts["values"] += len(orders) * flat.size
     if not orders:
         return np.empty((0,) + shape)
     ns = sorted({abs(n) for n in orders})
-    values = _j_nonneg_orders(ns, flat)
+    values = _j_nonneg_orders(ns, flat, counts)
     out = values[[ns.index(abs(n)) for n in orders]]
     # Negative orders reduce through the reflection identity.
     out[[k for k, n in enumerate(orders) if n < 0 and n % 2]] *= -1.0
     return out.reshape((len(orders),) + shape)
 
 
-def _j_nonneg_orders(ns, x):
+def _j_nonneg_orders(ns, x, counts):
     """J_n for the sorted orders ns >= 0 over a flat float64 array.
 
     Returns shape (len(ns), x.size).  The Miller points share one sweep
     per fixed octave block, which captures every order in the same pass,
     so a point's value never depends on which other points share the call.
+    ``counts``, a ``counting()`` dict or None, receives the regime tallies.
     """
     res = np.zeros((len(ns), x.size))
     if ns[0] == 0:
@@ -117,7 +152,12 @@ def _j_nonneg_orders(ns, x):
     bins = np.searchsorted(_MILLER_EDGES, x[idx], side="left")
     for b in np.unique(bins):
         pts = idx[bins == b]
-        res[:, pts] = _miller_block(ns, x[pts])
+        res[:, pts] = _miller_block(ns, x[pts], counts)
+    if counts is not None:
+        counts["zero_points"] += int(np.count_nonzero(x == 0.0))
+        counts["tiny_points"] += int(np.count_nonzero(tiny))
+        counts["hankel_points"] += int(np.count_nonzero(asym))
+        counts["miller_points"] += idx.size
     return res
 
 
@@ -140,9 +180,10 @@ def _tiny_series(ns, x):
     return out
 
 
-def _miller_block(orders, x):
+def _miller_block(orders, x, counts):
     """One float64 downward recurrence over an argument block, capturing
-    every order in `orders` (each >= 0) in the same pass.
+    every order in `orders` (each >= 0) in the same pass; tallied into
+    ``counts`` unless it is None.
 
     The starting index sits ~16*x^(1/3) above max(orders, x), where J_M
     has decayed below ~1e-26 of the oscillation amplitude, so the
@@ -158,6 +199,9 @@ def _miller_block(orders, x):
     """
     start = int(max(max(orders), float(x.max()))
                 + 16.0 * float(x.max()) ** (1.0 / 3.0) + 22.0)
+    if counts is not None:
+        counts["miller_blocks"] += 1
+        counts["miller_steps"] += start
     log_growth = np.log10(2.0 * start / float(x.min()) + 1.0)
     log_terms = np.log10(2.0 * start + 2.0)
     every = max(1, int(150.0 / log_growth))

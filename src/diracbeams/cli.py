@@ -11,8 +11,14 @@ linear    Gaussian-regularized per-unit-length densities
 Units at the boundary: momenta as p/m, angles accept a "deg" or "rad"
 suffix (bare numbers are radians).  CSV output carries '#'-prefixed
 metadata lines; JSON output is an object with "params", "results" and,
-for validate, "checks".  Numbers are written with 17 significant digits
-so a round trip reproduces them bit-exactly.
+for validate, "checks", laid out as ``json.dumps(doc, indent=2)`` would.
+CSV numbers carry 17 significant digits and JSON numbers are repr, so a
+round trip reproduces them bit-exactly.  The output format is the same
+byte for byte as that of the per-value writers it replaced; both writers
+format a whole document in a few C-level calls: one %-format per CSV
+table, the C JSON encoder for every innermost list or object.  The
+argument parser is built once, at import, and shared by every ``main``
+call.
 
 Exit codes: 0 success, 1 parameter error, 2 validation failure, 3 I/O
 error.
@@ -22,12 +28,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .beams import BeamConfig, density_profile
+from .beams import BeamConfig, density_profile, spin_pair_profiles
 from .foldy import beam_expectations, caustic_radius, magnetic_moment
 from .linear_density import ExtrapolationError, linear_expectations
 from .validation import main_run
@@ -63,10 +70,6 @@ def parse_spin(text):
     raise ParameterError(f"spin must be one of +, -, 0.5, -0.5; got {text!r}")
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def _write_text(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -79,22 +82,56 @@ def _write_text(path, text):
 
 
 def _csv_text(params, header, rows):
+    """Metadata, header and one line per row, each value as "%.17g".
+
+    ``rows`` is a 2-D numpy array or a list of equal-length rows.
+    """
     lines = [f"# diracbeams {__version__}"]
     lines.append("# units: hbar = c = mass = 1; momenta in units of m; "
                  "angles in radians")
     for key, val in params.items():
         lines.append(f"# {key} = {val}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        n_rows, n_cols = rows.shape
+        values = rows.ravel().tolist()
+    else:
+        n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+        values = [v for row in rows for v in row]
+    if n_rows:
+        row_fmt = ",".join(["%.17g"] * n_cols)
+        lines.append("\n".join([row_fmt] * n_rows) % tuple(values))
     return "\n".join(lines) + "\n"
+
+
+def _json_value(obj, level=0):
+    """``json.dumps(obj, indent=2)``, byte for byte, for str-keyed objects.
+
+    The pure-Python encoder serves any indent; here each innermost list or
+    object goes to the C encoder instead, with the newline and indent of
+    its level as the item separator.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    kinds = set(map(type, obj.values() if isinstance(obj, dict) else obj))
+    if not any(issubclass(t, (dict, list, tuple)) for t in kinds):
+        flat = json.dumps(obj, separators=("," + inner, ": "))
+        return flat[0] + inner + flat[1:-1] + close + flat[-1]
+    if isinstance(obj, dict):
+        parts = [json.dumps(k) + ": " + _json_value(v, level + 1)
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(parts) + close + "}"
+    parts = [_json_value(v, level + 1) for v in obj]
+    return "[" + inner + ("," + inner).join(parts) + close + "]"
 
 
 def _json_text(params, results, checks=None):
     doc = {"params": params, "results": results}
     if checks is not None:
         doc["checks"] = checks
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_value(doc) + "\n"
 
 
 def _parse_flag(flag, parser_fn, value):
@@ -128,44 +165,41 @@ def _beam_params(cfg):
     }
 
 
+def _require_finite(flag, value):
+    if not math.isfinite(value):
+        raise ParameterError(f"{flag} must be finite, got {value}")
+
+
 def cmd_profile(args):
     cfg = _config_from_args(args)
     if args.points < 2:
         raise ParameterError("--points must be >= 2")
+    _require_finite("--xi-max", args.xi_max)
     if args.xi_max <= 0.0:
         raise ParameterError("--xi-max must be > 0")
     xi = np.linspace(0.0, args.xi_max, args.points)
     params = _beam_params(cfg)
     params.update({"xi_max": args.xi_max, "points": args.points,
                    "pair": bool(args.pair)})
-    spins = (+0.5, -0.5) if args.pair else (cfg.s,)
     try:
-        profs = [density_profile(BeamConfig(cfg.p, cfg.theta0, cfg.ell, sp), xi)
-                 for sp in spins]
+        if args.pair:
+            up, dn = spin_pair_profiles(cfg, xi)
+            columns = {"xi": xi,
+                       "rho_plus": up.rho, "j_z_plus": up.j_z,
+                       "j_phi_plus": up.j_phi,
+                       "rho_minus": dn.rho, "j_z_minus": dn.j_z,
+                       "j_phi_minus": dn.j_phi}
+        else:
+            prof = density_profile(cfg, xi)
+            columns = {"xi": xi, "rho": prof.rho, "j_z": prof.j_z,
+                       "j_phi": prof.j_phi}
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
-    if args.pair:
-        up, dn = profs
-        header = ["xi", "rho_plus", "j_z_plus", "j_phi_plus",
-                  "rho_minus", "j_z_minus", "j_phi_minus"]
-        rows = np.column_stack([xi, up.rho, up.j_z, up.j_phi,
-                                dn.rho, dn.j_z, dn.j_phi])
-        results = {
-            "xi": xi.tolist(),
-            "rho_plus": up.rho.tolist(), "j_z_plus": up.j_z.tolist(),
-            "j_phi_plus": up.j_phi.tolist(),
-            "rho_minus": dn.rho.tolist(), "j_z_minus": dn.j_z.tolist(),
-            "j_phi_minus": dn.j_phi.tolist(),
-        }
-    else:
-        prof, = profs
-        header = ["xi", "rho", "j_z", "j_phi"]
-        rows = np.column_stack([xi, prof.rho, prof.j_z, prof.j_phi])
-        results = {"xi": xi.tolist(), "rho": prof.rho.tolist(),
-                   "j_z": prof.j_z.tolist(), "j_phi": prof.j_phi.tolist()}
     if args.format == "csv":
-        _write_text(args.out, _csv_text(params, header, rows))
+        rows = np.column_stack(list(columns.values()))
+        _write_text(args.out, _csv_text(params, list(columns), rows))
     else:
+        results = {k: v.tolist() for k, v in columns.items()}
         _write_text(args.out, _json_text(params, results))
     return 0
 
@@ -216,6 +250,8 @@ def cmd_sweep(args):
     theta_lo = _parse_flag("--theta0-min", parse_angle, args.theta0_min)
     theta_hi = _parse_flag("--theta0-max", parse_angle, args.theta0_max)
     s = _parse_flag("--s", parse_spin, args.s)
+    _require_finite("--p-min", args.p_min)
+    _require_finite("--p-max", args.p_max)
     if args.p_min < 0 or args.p_max < args.p_min:
         raise ParameterError("need 0 <= p-min <= p-max")
     if not (0.0 <= theta_lo <= theta_hi <= np.pi / 2 + 1e-15):
@@ -255,6 +291,8 @@ def cmd_linear(args):
         widths = tuple(float(w) for w in args.widths.split(","))
     except ValueError:
         raise ParameterError(f"could not parse --widths {args.widths!r}") from None
+    for w in widths:
+        _require_finite("--widths", w)
     try:
         rep = linear_expectations(cfg, widths=widths,
                                   radial_nodes=args.radial_nodes)
@@ -276,9 +314,9 @@ def cmd_linear(args):
         rows = np.column_stack([rep.widths, rep.l_z_samples,
                                 rep.s_z_samples, rep.m_z_samples])
         params.update({
-            "L_z_bar_extrapolated": _fmt(rep.l_z),
-            "S_z_bar_extrapolated": _fmt(rep.s_z),
-            "M_z_bar_extrapolated": _fmt(rep.m_z),
+            "L_z_bar_extrapolated": "%.17g" % rep.l_z,
+            "S_z_bar_extrapolated": "%.17g" % rep.s_z,
+            "M_z_bar_extrapolated": "%.17g" % rep.m_z,
         })
         _write_text(args.out, _csv_text(params, header, rows))
     else:
@@ -359,10 +397,12 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

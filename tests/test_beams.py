@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from diracbeams.beams import BeamConfig, density_profile, field_closed_form
+from diracbeams.beams import (
+    MAX_MOMENTUM,
+    MIN_MOMENTUM,
+    BeamConfig,
+    density_profile,
+    field_closed_form,
+    spin_pair_profiles,
+)
 from diracbeams.dirac import density, plane_wave_spinor
+from diracbeams.foldy import beam_expectations
 from diracbeams.oracles import field_quadrature
 from diracbeams.validation import SIGMA_Z4
 
@@ -58,6 +66,28 @@ class TestBeamConfig:
         kwargs = {"p": 2.4, "theta0": np.pi / 4, "ell": 1, "s": 0.5} | bad
         with pytest.raises(ValueError):
             BeamConfig(**kwargs)
+
+    @pytest.mark.parametrize("p", [MIN_MOMENTUM, MAX_MOMENTUM])
+    def test_momentum_at_bounds_is_exact(self, p):
+        # p @ p stays a normal float: ~1e-300 and ~1e300.
+        cfg = BeamConfig(p=p, theta0=np.pi / 4, ell=1, s=0.5)
+        with np.errstate(all="raise", under="ignore"):
+            rep = beam_expectations(cfg)
+        assert abs(rep.l_z - rep.l_z_numeric) <= 1e-12
+        assert abs(rep.s_z - rep.s_z_numeric) <= 1e-12
+        assert abs(rep.berry_phase - rep.berry_phase_numeric) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [
+        {"p": np.nextafter(MAX_MOMENTUM, np.inf)}, {"p": 1e300},
+        {"p": np.inf}, {"p": np.nan},
+        {"p": np.nextafter(MIN_MOMENTUM, 0.0)}, {"p": 1e-170}, {"p": 5e-324},
+        {"mass": np.nextafter(MAX_MOMENTUM, np.inf)},
+    ])
+    def test_rejects_momentum_beyond_bounds(self, bad):
+        kwargs = {"p": 2.4, "theta0": np.pi / 4, "ell": 1, "s": 0.5} | bad
+        with pytest.raises(ValueError, match="must (be 0 or )?lie in"):
+            BeamConfig(**kwargs)
+        assert BeamConfig(**(kwargs | {"p": 0.0, "mass": MAX_MOMENTUM})).p == 0
 
     def test_accepts_numpy_integers_up_to_ell_max(self):
         for ell in (np.int64(199), np.int32(-199), np.int8(3)):
@@ -165,6 +195,18 @@ class TestProfiles:
             jmag1 = np.hypot(p1.j_z, p1.j_phi)
             jmag2 = np.hypot(p2.j_z, p2.j_phi)
             assert np.abs(jmag1 - jmag2).max() <= 1e-12
+
+    @pytest.mark.parametrize("ell", [-199, -3, 0, 3, 199])
+    def test_spin_pair_matches_single_spin_profiles(self, ell):
+        # out to xi = 300, so that J_199 .. J_200 are far from zero too
+        xi = np.linspace(0.0, 300.0, 601)
+        cfg = make_cfg(ell=ell)
+        pair = spin_pair_profiles(cfg, xi)
+        for s, prof in zip((0.5, -0.5), pair):
+            ref = density_profile(make_cfg(ell=ell, s=s), xi)
+            for name in ("rho", "j_z", "j_phi"):
+                got, want = getattr(prof, name), getattr(ref, name)
+                assert np.abs(got - want).max() <= 1e-15, (s, name)
 
     def test_strict_spin_dependence(self):
         # flipping only s changes the profile when delta > 0 and ell != 0

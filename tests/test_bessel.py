@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from diracbeams.bessel import bessel_j, bessel_j_orders
+from diracbeams.bessel import bessel_j, bessel_j_orders, counting
 
 
 def j_exact(n, x, digits=30):
@@ -142,3 +142,27 @@ def test_array_shapes_preserved():
     stacked = bessel_j_orders((0, 1, 2), x)
     assert stacked.shape == (3, 3, 4)
     assert np.allclose(stacked[2], out)
+
+
+def test_counting_tallies_regimes_blocks_and_steps():
+    x = np.array([0.0, 1e-10, 0.5, 5.0, 6.0, 5000.0])
+    with counting() as counts:
+        bessel_j_orders((0, -1, 3), x)
+        bessel_j(2, 5.0)
+    assert counts["calls"] == 2 and counts["values"] == 3 * 6 + 1
+    assert (counts["zero_points"], counts["tiny_points"],
+            counts["miller_points"], counts["hankel_points"]) == (1, 1, 4, 1)
+    # 0.5 and 5, 6 fall in two octave blocks; the scalar call in a third
+    assert counts["miller_blocks"] == 3
+    assert counts["miller_steps"] > 3 * 22
+
+
+def test_counting_is_off_outside_and_scoped_when_nested():
+    with counting() as outer:
+        bessel_j(1, 2.0)
+        with counting() as inner:
+            bessel_j_orders((0, 1), [1.0, 2.0])
+        bessel_j(1, 2.0)
+    bessel_j(1, 2.0)
+    assert (outer["calls"], inner["calls"]) == (2, 1)
+    assert inner["values"] == 4 and outer["values"] == 2

@@ -6,12 +6,61 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diracbeams.cli import main, parse_angle, parse_spin
+from diracbeams import __version__, bessel
+from diracbeams.cli import (
+    _csv_text,
+    _json_text,
+    _json_value,
+    main,
+    parse_angle,
+    parse_spin,
+)
+from diracbeams.validation import report_dict
 
 
 def run_cli(args):
     return main(args)
+
+
+# Reference writers, one value at a time and through the pure-Python
+# indent=2 encoder: the CLI output must match them byte for byte.
+def oracle_csv_text(params, header, rows):
+    lines = [f"# diracbeams {__version__}"]
+    lines.append("# units: hbar = c = mass = 1; momenta in units of m; "
+                 "angles in radians")
+    for key, val in params.items():
+        lines.append(f"# {key} = {val}")
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json_text(params, results, checks=None):
+    doc = {"params": params, "results": results}
+    if checks is not None:
+        doc["checks"] = checks
+    return json.dumps(doc, indent=2) + "\n"
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+           2.0**-1074 * 3, 1.7976931348623157e308, 0.1, 1e16, 1e17]
+floats = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=True, allow_infinity=True))
+numbers = st.one_of(floats, st.integers(-2**70, 2**70))
+json_scalars = st.one_of(st.none(), st.booleans(), numbers,
+                         st.text(max_size=6))
+json_docs = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=5), kids, max_size=5)),
+    max_leaves=30)
+WRITER_SETTINGS = settings(max_examples=100, deadline=None)
 
 
 def read_csv(path):
@@ -52,10 +101,104 @@ class TestParsing:
         # xi up to 3e4 at ell = 150 lies beyond the tested Bessel domain
         assert run_cli(["profile", "--ell", "150", "--xi-max", "30000"]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, flag", [
+        (["profile", "--xi-max", "inf"], "--xi-max"),
+        (["profile", "--xi-max", "nan"], "--xi-max"),
+        (["profile", "--xi-max=-inf"], "--xi-max"),
+        (["sweep", "--p-max", "inf"], "--p-max"),
+        (["sweep", "--p-min", "nan"], "--p-min"),
+        (["sweep", "--p-min=-inf"], "--p-min"),
+        (["linear", "--widths", "40,60,inf"], "--widths"),
+        (["linear", "--widths", "nan,60,90"], "--widths"),
+    ])
+    def test_non_finite_range_names_the_flag(self, argv, flag, capsys):
+        assert run_cli(argv) == 1
+        assert f"parameter error: {flag} must be finite" in \
+            capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["expect", "--p", "1e300"],
+        ["expect", "--p", "1.3e154"],
+        ["expect", "--p", "1e-170"],
+        ["profile", "--p", "1e300"],
+        ["sweep", "--p-max", "1e300"],
+        ["linear", "--p", "1e300"],
+    ])
+    def test_momentum_beyond_bounds_exit_1(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert "momentum must be 0 or lie in" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["profile", "expect", "sweep", "linear"])
     def test_ell_outside_domain_is_parameter_error(self, command, capsys):
         assert run_cli([command, "--ell", "200"]) == 1
         assert "parameter error" in capsys.readouterr().err
+
+
+class TestWriters:
+    PARAMS = {"p_over_m": 2.4, "note": "100% [a, b]", "pair": True}
+
+    @WRITER_SETTINGS
+    @given(n_rows=st.integers(0, 4), n_cols=st.integers(1, 4), data=st.data())
+    def test_csv_matches_per_value_join(self, n_rows, n_cols, data):
+        rows = data.draw(st.lists(
+            st.lists(numbers, min_size=n_cols, max_size=n_cols),
+            min_size=n_rows, max_size=n_rows))
+        header = [f"c{k}" for k in range(n_cols)]
+        assert (_csv_text(self.PARAMS, header, rows)
+                == oracle_csv_text(self.PARAMS, header, rows))
+        table = np.array([[float(v) for v in row] for row in rows]
+                         ).reshape(n_rows, n_cols)
+        assert (_csv_text(self.PARAMS, header, table)
+                == oracle_csv_text(self.PARAMS, header, table))
+
+    @WRITER_SETTINGS
+    @given(json_docs)
+    def test_json_matches_indent_2(self, doc):
+        assert _json_value(doc) == json.dumps(doc, indent=2)
+
+    @WRITER_SETTINGS
+    @given(st.dictionaries(st.text(max_size=5), json_docs, max_size=4),
+           st.lists(floats, max_size=6))
+    def test_json_document_matches(self, params, column):
+        results = {"xi": column, "rho": column[::-1], "empty": []}
+        assert (_json_text(params, results)
+                == oracle_json_text(params, results))
+
+    def test_validate_checks_match(self, validation_run):
+        checks, ok, elapsed = validation_run
+        report = report_dict(list(checks.values()), elapsed=elapsed)
+        params = {"quick": False, "inject_fault": 1.0}
+        results = {"passed": ok, "elapsed_seconds": elapsed}
+        assert (_json_text(params, results, checks=report["checks"])
+                == oracle_json_text(params, results, checks=report["checks"]))
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--points", "40", "--format", "json"],
+        ["profile", "--points", "40", "--pair"],
+        ["expect", "--format", "json"],
+        ["sweep", "--p-points", "2", "--theta0-points", "3"],
+    ])
+    def test_repeated_calls_give_identical_output(self, argv, capsys):
+        outputs = []
+        for _ in range(3):
+            assert run_cli(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            assert run_cli(["profile", "--points", "zero"]) == 1
+            assert "parameter error" in capsys.readouterr().err
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_bad_argv_does_not_leak_into_the_next_call(self, capsys):
+        good = ["expect", "--theta0", "0", "--ell", "2"]
+        assert run_cli(good) == 0
+        first = capsys.readouterr().out
+        for bad in (["nonsense"], [], ["expect", "--s", "up"],
+                    ["expect", "--ell", "two"], good + ["--bogus"],
+                    ["profile", "--format", "xml"]):
+            assert run_cli(bad) == 1
+        assert run_cli(good) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestProfile:
@@ -88,6 +231,14 @@ class TestProfile:
         rho_p = rows[:, header.index("rho_plus")]
         rho_m = rows[:, header.index("rho_minus")]
         assert np.abs(rho_p - rho_m).max() > 1e-3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pair_makes_one_bessel_call(self, fmt, capsys):
+        with bessel.counting() as counts:
+            assert run_cli(["profile", "--ell", "-3", "--pair", "--points",
+                            "100", "--format", fmt]) == 0
+        assert counts["calls"] == 1 and counts["values"] == 3 * 100
+        assert "rho_minus" in capsys.readouterr().out
 
     def test_csv_roundtrip_17_digits(self, tmp_path):
         out = tmp_path / "prof.csv"
