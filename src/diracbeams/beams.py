@@ -27,6 +27,9 @@ from .dirac import spin_basis
 # underflows to an exact zero, a spurious p = 0, below about 1e-162.
 MAX_MOMENTUM = 1e150
 MIN_MOMENTUM = 1.0 / MAX_MOMENTUM
+# Largest radial grid one request may build: `profile --points` and the
+# Simpson nodes of a linear-density width (8 MB per float64 column).
+MAX_POINTS = 2**20
 
 
 @dataclass(frozen=True)

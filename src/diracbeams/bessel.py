@@ -9,10 +9,13 @@ the argument alone:
   series (x/2)^n/n! (1 - (x/2)^2/(n+1)) in float64, which stays finite
   for subnormal x, where 2/x overflows,
 * _TINY_X <= x <= 4000: Miller backward recurrence normalized with
-  J_0 + 2*sum_k J_{2k} = 1, in float64: one downward sweep per fixed
-  octave block of arguments (edges 12 * 2^k, from _TINY_X up) captures
-  every requested order, with exact power-of-two rescaling at an interval
-  bounded by the largest per-step growth,
+  J_0 + 2*sum_k J_{2k} = 1, in float64: one downward sweep per call
+  captures every requested order.  The arguments fall into fixed octave
+  blocks (edges 12 * 2^k, from _TINY_X up); each block enters the sweep
+  at its own start index and is rescaled by exact powers of two at its
+  own interval and limit, bounded by its largest per-step growth.  So a
+  value does not depend on the points of other blocks in the call, and
+  within its block only through the block's start index, by rounding,
 * x > 4000 and x >= 12 n^2: the large-argument Hankel expansion, the
   only place that still uses numpy.longdouble (for its phase reduction).
 
@@ -25,7 +28,8 @@ arguments from 5e-324 to 12 it is 1.9e-16.  Negative orders reduce
 exactly via J_{-n}(x) = (-1)^n J_n(x).
 
 ``counting()`` opens an opt-in tally of the work done inside it: calls,
-values, argument points per regime, Miller blocks and Miller steps.  Off,
+values, argument points per regime, Miller blocks entered and Miller
+recurrence steps run (the top start index of each call's sweep).  Off,
 it costs one context-variable lookup per call.
 
 All functions are pure; concurrent use is safe, and each thread or task
@@ -62,8 +66,9 @@ def counting():
 
     calls: bessel_j_orders calls; values: orders x points returned;
     zero_points, tiny_points, miller_points, hankel_points: arguments
-    served by each regime; miller_blocks: downward sweeps; miller_steps:
-    recurrence steps summed over the sweeps.  A nested block tallies its
+    served by each regime; miller_blocks: octave blocks entered by the
+    Miller sweeps; miller_steps: recurrence steps run, one sweep per call
+    from the highest block start down to 1.  A nested block tallies its
     own work only, not into the enclosing one.
     """
     counts = dict.fromkeys(
@@ -91,7 +96,7 @@ def bessel_j_orders(orders, x):
 
     Returns an array of shape (len(orders),) + x.shape.  Input validation
     and the reflection reduction happen once for the whole batch, and all
-    orders share one Miller sweep per argument block.
+    orders and arguments share one Miller sweep.
     """
     orders = tuple(orders)
     for n in orders:
@@ -132,10 +137,10 @@ def bessel_j_orders(orders, x):
 def _j_nonneg_orders(ns, x, counts):
     """J_n for the sorted orders ns >= 0 over a flat float64 array.
 
-    Returns shape (len(ns), x.size).  The Miller points share one sweep
-    per fixed octave block, which captures every order in the same pass,
-    so a point's value never depends on which other points share the call.
-    ``counts``, a ``counting()`` dict or None, receives the regime tallies.
+    Returns shape (len(ns), x.size).  The Miller points share one sweep,
+    which captures every order in the same pass; each fixed octave block
+    enters it at its own start index.  ``counts``, a ``counting()`` dict
+    or None, receives the regime tallies.
     """
     res = np.zeros((len(ns), x.size))
     if ns[0] == 0:
@@ -149,10 +154,8 @@ def _j_nonneg_orders(ns, x, counts):
         for k, n in enumerate(ns):
             res[k, asym] = _hankel(n, x[asym])
     idx = np.flatnonzero((x >= _TINY_X) & ~asym)
-    bins = np.searchsorted(_MILLER_EDGES, x[idx], side="left")
-    for b in np.unique(bins):
-        pts = idx[bins == b]
-        res[:, pts] = _miller_block(ns, x[pts], counts)
+    if idx.size:
+        res[:, idx] = _miller(ns, x[idx], counts)
     if counts is not None:
         counts["zero_points"] += int(np.count_nonzero(x == 0.0))
         counts["tiny_points"] += int(np.count_nonzero(tiny))
@@ -180,62 +183,92 @@ def _tiny_series(ns, x):
     return out
 
 
-def _miller_block(orders, x, counts):
-    """One float64 downward recurrence over an argument block, capturing
-    every order in `orders` (each >= 0) in the same pass; tallied into
-    ``counts`` unless it is None.
+def _miller(ns, x, counts):
+    """J_n for the sorted orders ns >= 0 at _TINY_X <= x <= 4000: one
+    float64 downward recurrence over all points, tallied into ``counts``
+    unless it is None.
 
-    The starting index sits ~16*x^(1/3) above max(orders, x), where J_M
-    has decayed below ~1e-26 of the oscillation amplitude, so the
-    truncation is invisible at double precision.  The sum closes with
+    The points fall into fixed octave blocks (edges _MILLER_EDGES).  Each
+    block starts ~16*xmax^(1/3) above max(ns, xmax), xmax its largest
+    point, where J_m has decayed below ~1e-26 of the oscillation amplitude,
+    so the truncation is invisible at double precision.  The points are
+    sorted so that the block with the highest start comes first; one loop
+    runs m = top .. 1, a block joins when m reaches its own start, and
+    every step works on the prefix of the blocks joined so far.  All
+    orders are captured in the same pass, and each point's sum closes with
     J_0 + 2*sum_k J_{2k} = 1.
 
     Overflow is bounded rather than tested for on every step: one step
-    grows max(|J_m|, |J_{m+1}|) by at most G = 2*start/min(x) + 1, so
-    the points above `limit` are rescaled every `every` ~ 150/log10(G)
-    steps, with limit * G**every * (2*start + 2) = 1e300 bounding the
-    values, the captured orders and the normalization sum in between.  A
-    rescale multiplies by a power of two and so rounds nothing.
+    grows max(|J_m|, |J_{m+1}|) by at most G = 2*start/xmin + 1, so a
+    block's points above its `limit` are rescaled every `every` ~
+    150/log10(G) steps, with limit * G**every * (2*start + 2) = 1e300
+    bounding the values, the captured orders and the normalization sum in
+    between.  A rescale multiplies by a power of two and rounds nothing,
+    and it happens at the same steps as in a sweep of the block alone, so
+    each value is bit for bit what that sweep gives.
     """
-    start = int(max(max(orders), float(x.max()))
-                + 16.0 * float(x.max()) ** (1.0 / 3.0) + 22.0)
+    bins = np.searchsorted(_MILLER_EDGES, x, side="left")
+    perm = np.argsort(-bins, kind="stable")
+    xs = x[perm]
+    cuts = (np.flatnonzero(np.diff(bins[perm])) + 1).tolist()
+    n = xs.size
+    limit = np.empty(n)
+    joins = {}                      # start index -> end of the active prefix
+    due = {}                        # step -> [lo, hi) of the blocks it checks
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        xmax, xmin = float(xs[lo:hi].max()), float(xs[lo:hi].min())
+        start = int(max(ns[-1], xmax) + 16.0 * xmax ** (1.0 / 3.0) + 22.0)
+        log_growth = np.log10(2.0 * start / xmin + 1.0)
+        log_terms = np.log10(2.0 * start + 2.0)
+        every = max(1, int(150.0 / log_growth))
+        limit[lo:hi] = 10.0 ** (300.0 - every * log_growth - log_terms)
+        joins[start] = hi
+        for m in range(every, start + 1, every):
+            due.setdefault(m, []).append((lo, hi))
+    top = max(joins)
     if counts is not None:
-        counts["miller_blocks"] += 1
-        counts["miller_steps"] += start
-    log_growth = np.log10(2.0 * start / float(x.min()) + 1.0)
-    log_terms = np.log10(2.0 * start + 2.0)
-    every = max(1, int(150.0 / log_growth))
-    limit = 10.0 ** (300.0 - every * log_growth - log_terms)
+        counts["miller_blocks"] += len(cuts) + 1
+        counts["miller_steps"] += top
 
-    two_inv_x = 2.0 / x
-    jp = np.zeros(x.size)           # J_{m+1}, scaled
-    jc = np.ones(x.size)            # J_m, scaled
-    jm = np.empty(x.size)
-    evens = np.zeros(x.size)        # sum_k J_{2k}, k >= 1, scaled
-    captured = {n: np.zeros(x.size) for n in orders}
-
-    for m in range(start, 0, -1):
-        np.multiply(two_inv_x, m, out=jm)
+    two_inv_x = 2.0 / xs
+    rows = {m: j for j, m in enumerate(ns)}
+    captured = np.empty((len(ns), n))
+    low = len(ns)                   # rows low.. are captured
+    evens = np.zeros(n)             # sum_k J_{2k}, k >= 1, scaled
+    # J_{m+1}, J_m and the next value, scaled: views of the active prefix.
+    jp, jc, jm = np.empty(n)[:0], np.empty(n)[:0], np.empty(n)[:0]
+    for m in range(top, 0, -1):
+        if m in joins:
+            # Widen the prefix to [:hi]; the joining block starts from
+            # J_{m+1} = 0, J_m = 1 over the stale values the rotating
+            # buffers hold past the old prefix.
+            k, hi = jc.size, joins[m]
+            jp, jc, jm = jp.base[:hi], jc.base[:hi], jm.base[:hi]
+            jp[k:] = 0.0
+            jc[k:] = 1.0
+            tx, evens_k = two_inv_x[:hi], evens[:hi]
+        np.multiply(tx, m, out=jm)
         jm *= jc
         jm -= jp
         jp, jc, jm = jc, jm, jp
         i = m - 1
-        if i in captured:
-            captured[i][:] = jc
+        if i in rows:
+            low = rows[i]
+            captured[low] = jc
         if i > 0 and i % 2 == 0:
-            evens += jc
-        if m % every == 0:
-            peak = np.maximum(np.abs(jc), np.abs(jp))
-            big = peak > limit
+            evens_k += jc
+        for lo, hi in due.get(m, ()):
+            peak = np.maximum(np.abs(jc[lo:hi]), np.abs(jp[lo:hi]))
+            big = peak > limit[lo:hi]
             if big.any():
                 scale = np.where(big, np.ldexp(1.0, -np.frexp(peak)[1]), 1.0)
-                jp *= scale
-                jc *= scale
-                evens *= scale
-                for arr in captured.values():
-                    arr *= scale
-    norm = jc + 2.0 * evens
-    return [captured[n] / norm for n in orders]
+                jp[lo:hi] *= scale
+                jc[lo:hi] *= scale
+                evens[lo:hi] *= scale
+                captured[low:, lo:hi] *= scale
+    out = np.empty((len(ns), n))
+    out[:, perm] = captured / (jc + 2.0 * evens)
+    return out
 
 
 def _hankel(n, x):

@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .beams import BeamConfig, density_profile, spin_pair_profiles
+from .beams import MAX_POINTS, BeamConfig, density_profile, spin_pair_profiles
 from .foldy import beam_expectations, caustic_radius, magnetic_moment
 from .linear_density import ExtrapolationError, linear_expectations
 from .validation import main_run
@@ -172,8 +172,9 @@ def _require_finite(flag, value):
 
 def cmd_profile(args):
     cfg = _config_from_args(args)
-    if args.points < 2:
-        raise ParameterError("--points must be >= 2")
+    if not 2 <= args.points <= MAX_POINTS:
+        raise ParameterError(f"--points must lie in [2, {MAX_POINTS}], "
+                             f"got {args.points}")
     _require_finite("--xi-max", args.xi_max)
     if args.xi_max <= 0.0:
         raise ParameterError("--xi-max must be > 0")
@@ -352,7 +353,8 @@ def build_parser():
     p = subs.add_parser("profile", help="radial density/current profile")
     _add_beam_flags(p)
     p.add_argument("--xi-max", dest="xi_max", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--points", type=int, default=400,
+                   help=f"grid points on [0, xi-max], 2 to {MAX_POINTS}")
     p.add_argument("--pair", action="store_true",
                    help="emit both spin states for split-profile comparison")
     _add_out_flags(p)
@@ -389,9 +391,11 @@ def build_parser():
                                        "(Gaussian-regularized)")
     _add_beam_flags(p)
     p.add_argument("--widths", default="40,60,90,135",
-                   help="comma-separated Gaussian xi-widths")
+                   help="comma-separated Gaussian xi-widths; each needs "
+                        f"128 a + 1 Simpson nodes, at most {MAX_POINTS}")
     p.add_argument("--radial-nodes", dest="radial_nodes", type=int,
-                   default=4000)
+                   default=4000,
+                   help=f"minimum Simpson nodes per width, below {MAX_POINTS}")
     _add_out_flags(p)
     p.set_defaults(func=cmd_linear)
     return parser

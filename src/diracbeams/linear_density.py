@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import BeamConfig, field_closed_form
+from .beams import MAX_POINTS, BeamConfig, field_closed_form
 from .dirac import current
 
 SIGMA_Z_DIAG = np.array([0.5, -0.5, 0.5, -0.5])
@@ -113,20 +113,31 @@ def _fit_inverse_square_width(widths, values):
     return float(coef[0]), float(coef[1]), float(resid)
 
 
+def _radial_node_count(a, radial_nodes):
+    """Simpson nodes on [0, 8a]: at least radial_nodes and 16 per unit of
+    xi, odd; ValueError above MAX_POINTS, before anything is allocated."""
+    if 128.0 * a < MAX_POINTS:      # False for inf and NaN as well
+        n = max(int(radial_nodes), int(128.0 * a) + 1)
+        if n % 2 == 0:
+            n += 1
+        if n <= MAX_POINTS:
+            return n
+    raise ValueError(f"width {a:g} with radial_nodes {radial_nodes} needs more "
+                     f"than {MAX_POINTS} Simpson nodes")
+
+
 def cross_section_averages(cfg, a, radial_nodes=4000):
     """One-width cross-section averages (L_z, S_z, M_z) of the enveloped beam.
 
     The azimuthal integrals are analytic (each component is a single
     harmonic, so cross terms between different windings drop); only the
     radial integral is numerical, by composite Simpson on [0, 8a], where
-    the squared envelope has decayed below 1e-27.
+    the squared envelope has decayed below 1e-27.  The grid holds
+    max(radial_nodes, 128 a + 1) nodes, made odd, at most MAX_POINTS.
     """
     beam = RegularizedBeam(cfg, a)
     xi_max = 8.0 * a
-    n = max(int(radial_nodes), int(16.0 * xi_max) + 1)
-    if n % 2 == 0:
-        n += 1
-    xi = np.linspace(0.0, xi_max, n)
+    xi = np.linspace(0.0, xi_max, _radial_node_count(a, radial_nodes))
     r = xi / cfg.k_perp
 
     psi = field_closed_form(cfg, r, 0.0)
@@ -158,6 +169,8 @@ def linear_expectations(cfg, widths=(40.0, 60.0, 90.0, 135.0),
         well above ~50 for the 1/a^2 fit to settle).
     radial_nodes : minimum Simpson node count per width (the grid is
         refined automatically so the oscillatory integrands stay resolved).
+        A width whose grid would exceed MAX_POINTS nodes raises
+        ValueError before any width is sampled.
     fit_tol : maximum tolerated residual of the c0 + c2/a^2 fit, relative
         to max(1, |c0|); beyond it an ExtrapolationError is raised.
 
@@ -172,6 +185,8 @@ def linear_expectations(cfg, widths=(40.0, 60.0, 90.0, 135.0),
         raise ValueError("need at least two widths")
     if not np.all(np.diff(widths) > 0.0):
         raise ValueError("widths must be strictly increasing")
+    for a in widths:
+        _radial_node_count(a, radial_nodes)
 
     samples = np.array([
         cross_section_averages(cfg, a, radial_nodes) for a in widths

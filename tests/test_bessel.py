@@ -154,7 +154,10 @@ def test_counting_tallies_regimes_blocks_and_steps():
             counts["miller_points"], counts["hankel_points"]) == (1, 1, 4, 1)
     # 0.5 and 5, 6 fall in two octave blocks; the scalar call in a third
     assert counts["miller_blocks"] == 3
-    assert counts["miller_steps"] > 3 * 22
+    # One sweep per call from its highest block start,
+    # int(max(3, xmax) + 16 xmax^(1/3) + 22): 57 for the block of 5, 6
+    # (the block of 0.5 joins at 37), then 54 for the scalar call.
+    assert counts["miller_steps"] == 57 + 54
 
 
 def test_counting_is_off_outside_and_scoped_when_nested():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracbeams import __version__, bessel
+from diracbeams.beams import MAX_POINTS
 from diracbeams.cli import (
     _csv_text,
     _json_text,
@@ -116,6 +118,20 @@ class TestParsing:
         assert run_cli(argv) == 1
         assert f"parameter error: {flag} must be finite" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--points", str(MAX_POINTS + 1)],
+        ["profile", "--points", "100000000"],
+        ["linear", "--radial-nodes", str(MAX_POINTS + 1)],
+        ["linear", "--widths", f"40,{MAX_POINTS / 128.0}"],
+        ["linear", "--widths", "40,1e6"],
+    ])
+    def test_grid_above_cap_exits_1_at_once(self, argv, capsys):
+        t0 = time.perf_counter()
+        assert run_cli(argv) == 1
+        assert time.perf_counter() - t0 < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error:") and str(MAX_POINTS) in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [

@@ -9,10 +9,13 @@ true localized solution would carry (worth ~2s extra), so the report
 carries explicit comparisons instead of a single assertion.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from diracbeams.beams import BeamConfig, field_closed_form
+from diracbeams import linear_density
+from diracbeams.beams import MAX_POINTS, BeamConfig, field_closed_form
 from diracbeams.dirac import current, density
 from diracbeams.linear_density import (
     ExtrapolationError,
@@ -130,6 +133,22 @@ class TestValidationAndErrors:
             linear_expectations(cfg, widths=(40.0, 60.0, 90.0),
                                 radial_nodes=3000, fit_tol=1e-14)
         assert "widths" in err.value.diagnostics
+
+    @pytest.mark.parametrize("widths, radial_nodes", [
+        ((40.0, MAX_POINTS / 128.0), 4000),     # 128 a + 1 = cap + 1 nodes
+        ((40.0, 1e6), 4000),
+        ((40.0, np.inf), 4000),
+        ((40.0, 60.0), MAX_POINTS + 1),
+    ])
+    def test_grid_above_cap_raises_before_any_width(self, cfg, widths,
+                                                    radial_nodes, monkeypatch):
+        def no_field(*args, **kwargs):
+            raise AssertionError("a width was sampled")
+        monkeypatch.setattr(linear_density, "field_closed_form", no_field)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"than {MAX_POINTS} Simpson"):
+            linear_expectations(cfg, widths=widths, radial_nodes=radial_nodes)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_degenerate_transverse_structure_rejected(self):
         cfg = BeamConfig(p=2.4, theta0=0.0, ell=1, s=0.5)
