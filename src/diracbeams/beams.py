@@ -27,8 +27,9 @@ from .dirac import spin_basis
 # underflows to an exact zero, a spurious p = 0, below about 1e-162.
 MAX_MOMENTUM = 1e150
 MIN_MOMENTUM = 1.0 / MAX_MOMENTUM
-# Largest radial grid one request may build: `profile --points` and the
-# Simpson nodes of a linear-density width (8 MB per float64 column).
+# Largest grid one request may build: `profile --points`, the Simpson
+# nodes of a linear-density width (8 MB per float64 column) and the rows
+# of a `sweep`.
 MAX_POINTS = 2**20
 
 
@@ -121,19 +122,21 @@ def field_closed_form(cfg, r, phi, z=0.0, t=0.0, w=None):
     """Beam field from the analytic Bessel expression.
 
     Parameters broadcast together; the result has shape
-    broadcast(r, phi, z, t) + (4,).  ``w`` overrides the polarization
-    spinor (defaults to the basis state selected by cfg.s); profiles for
-    mixed polarizations are available only through this field route.
+    broadcast(r, phi, z, t) + (4,).  The field is separable, so each
+    factor is evaluated on the shape of the coordinates it depends on:
+    the Bessel values on r's, the azimuthal windings on phi's and the
+    plane-wave phase on broadcast(z, t); only the product takes the full
+    shape.  Callers pass open grids (``np.ix_``) rather than meshgrids,
+    which would repeat each Bessel value and exponential once per point
+    of the other axes.  ``w`` overrides the polarization spinor (defaults
+    to the basis state selected by cfg.s); profiles for mixed
+    polarizations are available only through this field route.
     """
     w = cfg.polarization if w is None else np.asarray(w, dtype=complex)
     if abs(np.vdot(w, w).real - 1.0) > 1e-12:
         raise ValueError("polarization spinor must have unit norm")
-    r, phi, z, t = np.broadcast_arrays(
-        np.asarray(r, dtype=float),
-        np.asarray(phi, dtype=float),
-        np.asarray(z, dtype=float),
-        np.asarray(t, dtype=float),
-    )
+    r, phi, z, t = (np.asarray(v, dtype=float) for v in (r, phi, z, t))
+    shape = np.broadcast_shapes(r.shape, phi.shape, z.shape, t.shape)
     ell = cfg.ell
     xi = cfg.k_perp * r
     j_lm, j_l, j_lp = bessel_j_orders((ell - 1, ell, ell + 1), xi)
@@ -149,7 +152,7 @@ def field_closed_form(cfg, r, phi, z=0.0, t=0.0, w=None):
     e_lp = np.exp(1j * (ell + 1) * phi)
     phase = np.exp(1j * (cfg.p_par * z - cfg.energy * t))
 
-    psi = np.empty(r.shape + (4,), dtype=complex)
+    psi = np.empty(shape + (4,), dtype=complex)
     psi[..., 0] = a_up * alpha * e_l * j_l
     psi[..., 1] = a_up * beta * e_l * j_l
     psi[..., 2] = b_low * alpha * e_l * j_l - 1j * c_soi * beta * e_lm * j_lm

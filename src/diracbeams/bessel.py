@@ -20,11 +20,12 @@ the argument alone:
   only place that still uses numpy.longdouble (for its phase reduction).
 
 The tested domain is 0 <= x <= 4000 and |n| <= 200 (MAX_ORDER), plus the
-Hankel regime; x > 4000 with x < 12 n^2 raises ValueError rather than run
-a recurrence whose start index grows with x.  The absolute error budget
-is 1e-13; the largest error against 30-digit mpmath, over 26 orders and
-1100 arguments in (12, 4000], is 5.2e-15, and over orders 0..200 and
-arguments from 5e-324 to 12 it is 1.9e-16.  Negative orders reduce
+Hankel regime.  Orders above MAX_ORDER raise ValueError, as does x > 4000
+with x < 12 n^2, rather than run a recurrence whose start index grows
+with n or x.  The absolute error budget is 1e-13; the largest error
+against 30-digit mpmath, over 26 orders and 1100 arguments in
+(12, 4000], is 5.2e-15, and over orders 0..200 and arguments from
+5e-324 to 12 it is 1.9e-16.  Negative orders reduce
 exactly via J_{-n}(x) = (-1)^n J_n(x).
 
 ``counting()`` opens an opt-in tally of the work done inside it: calls,
@@ -82,7 +83,7 @@ def counting():
 
 
 def bessel_j(n, x):
-    """J_n(x) for integer n (any sign) and real x >= 0.
+    """J_n(x) for integer n, |n| <= MAX_ORDER, and real x >= 0.
 
     Tiny negative x from roundoff in radius computations is clamped to 0;
     anything else outside the domain raises ValueError.
@@ -96,13 +97,18 @@ def bessel_j_orders(orders, x):
 
     Returns an array of shape (len(orders),) + x.shape.  Input validation
     and the reflection reduction happen once for the whole batch, and all
-    orders and arguments share one Miller sweep.
+    orders and arguments share one Miller sweep.  Orders with
+    |n| > MAX_ORDER raise ValueError before any work.
     """
     orders = tuple(orders)
     for n in orders:
         if not isinstance(n, Integral):
             raise ValueError(f"Bessel order must be an integer, got {n!r}")
     orders = tuple(int(n) for n in orders)
+    n_max = max((abs(n) for n in orders), default=0)
+    if n_max > MAX_ORDER:
+        raise ValueError(f"Bessel order must satisfy |n| <= {MAX_ORDER}, "
+                         f"got {n_max}")
 
     x = np.asarray(x, dtype=float)
     shape = x.shape
@@ -115,7 +121,6 @@ def bessel_j_orders(orders, x):
                 f"Bessel argument must be non-negative, got {flat.min()}"
             )
         flat = np.where(flat < 0.0, 0.0, flat)
-    n_max = max((abs(n) for n in orders), default=0)
     if np.any((flat > _MILLER_X_MAX) & (flat < 12.0 * n_max * n_max)):
         raise ValueError(f"J_{n_max} beyond x = {_MILLER_X_MAX:g} needs x >= "
                          f"12 n^2 = {12 * n_max * n_max}: outside the tested domain")

@@ -259,6 +259,10 @@ def cmd_sweep(args):
         raise ParameterError("need 0 <= theta0-min <= theta0-max <= pi/2")
     if args.p_points < 1 or args.theta0_points < 1:
         raise ParameterError("sweep point counts must be >= 1")
+    if args.p_points * args.theta0_points > MAX_POINTS:
+        raise ParameterError(f"--p-points x --theta0-points must be at most "
+                             f"{MAX_POINTS}, got {args.p_points} x "
+                             f"{args.theta0_points}")
     ps = np.linspace(args.p_min, args.p_max, args.p_points)
     thetas = np.linspace(theta_lo, theta_hi, args.theta0_points)
     header = ["p_over_m", "theta0", "ell", "s", "delta", "L_z", "S_z",
@@ -380,10 +384,15 @@ def build_parser():
     p.add_argument("--s", default="+")
     p.add_argument("--p-min", dest="p_min", type=float, default=0.0)
     p.add_argument("--p-max", dest="p_max", type=float, default=10.0)
-    p.add_argument("--p-points", dest="p_points", type=int, default=11)
+    p.add_argument("--p-points", dest="p_points", type=int, default=11,
+                   help="momentum samples; times --theta0-points at most "
+                        f"{MAX_POINTS}")
     p.add_argument("--theta0-min", dest="theta0_min", default="0")
     p.add_argument("--theta0-max", dest="theta0_max", default="90deg")
-    p.add_argument("--theta0-points", dest="theta0_points", type=int, default=10)
+    p.add_argument("--theta0-points", dest="theta0_points", type=int,
+                   default=10,
+                   help=f"cone-angle samples; times --p-points at most "
+                        f"{MAX_POINTS}")
     _add_out_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -30,17 +30,15 @@ def field_quadrature(cfg, r, phi, z=0.0, t=0.0, n_nodes=512, w=None):
     Periodic trapezoid rule with ``n_nodes`` nodes; the integrand is smooth
     and 2pi-periodic, so convergence is spectral.  Serves as the
     independent oracle for ``field_closed_form`` -- prefactors are kept so
-    the two agree including global phase.
+    the two agree including global phase.  Parameters broadcast together
+    to the result's shape broadcast(r, phi, z, t) + (4,); the node sum
+    runs over broadcast(r, phi) only and is then multiplied by the
+    plane-wave phase of (z, t), so callers pass open grids (``np.ix_``).
     """
     if n_nodes < 64:
         raise ValueError("n_nodes must be >= 64")
     w = cfg.polarization if w is None else np.asarray(w, dtype=complex)
-    r, phi, z, t = np.broadcast_arrays(
-        np.asarray(r, dtype=float),
-        np.asarray(phi, dtype=float),
-        np.asarray(z, dtype=float),
-        np.asarray(t, dtype=float),
-    )
+    r, phi, z, t = (np.asarray(v, dtype=float) for v in (r, phi, z, t))
     nodes = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     spinors = plane_wave_spinor(cfg.cone_momenta(nodes), w, cfg.mass)
 
@@ -58,9 +56,10 @@ def profile_from_field(cfg, xi, n_phi=1):
     """Density/current profile evaluated through the field + bispinor route.
 
     Independent cross-check of ``density_profile``: builds the closed-form
-    field on the grid and applies the bispinor density/current.  The
-    cylindrical components come from the Cartesian current at each sampled
-    azimuth (they are azimuth-independent for the spin basis states).
+    field on the grid, all azimuths in one call, and applies the bispinor
+    density/current.  The cylindrical components come from the Cartesian
+    current at each sampled azimuth (they are azimuth-independent for the
+    spin basis states).
     """
     xi = np.asarray(xi, dtype=float)
     k = cfg.k_perp
@@ -69,14 +68,16 @@ def profile_from_field(cfg, xi, n_phi=1):
     else:
         r = xi / k
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    psi = field_closed_form(cfg, r[..., None], phis)
+    rho_all = density(psi)
+    j_all = current(psi)
     rho = np.zeros_like(xi)
     j_z = np.zeros_like(xi)
     j_phi = np.zeros_like(xi)
     j_r = np.zeros_like(xi)
-    for ph in phis:
-        psi = field_closed_form(cfg, r, ph)
-        j = current(psi)
-        rho += density(psi)
+    for i, ph in enumerate(phis):
+        j = j_all[..., i, :]
+        rho += rho_all[..., i]
         j_z += j[..., 2]
         j_phi += -np.sin(ph) * j[..., 0] + np.cos(ph) * j[..., 1]
         j_r += np.cos(ph) * j[..., 0] + np.sin(ph) * j[..., 1]

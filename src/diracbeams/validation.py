@@ -28,7 +28,8 @@ from .bessel import bessel_j_orders
 from .dirac import ALPHA, BETA, EYE4, current, density, energy, plane_wave_spinor, spin_basis
 from .foldy import (beam_expectations, berry_connection, berry_curvature,
                     fw_unitary, magnetic_moment, soi_operator)
-from .linear_density import cross_section_averages, linear_expectations
+from .linear_density import (_radial_node_count, cross_section_averages,
+                             linear_expectations)
 from .oracles import (berry_connection_numeric, berry_curvature_from_connection,
                       field_quadrature, fw_plane_wave_check, profile_from_field,
                       soi_operator_from_connection)
@@ -130,7 +131,7 @@ def _field_oracle(quick, soi_fault):
     if quick:
         xis = xis[::2]
         zs = zs[:1]
-    grid = np.meshgrid(xis, phis, zs, ts, indexing="ij")
+    grid = np.ix_(xis, phis, zs, ts)
     worst = 0.0
     ells = (0, 1) if quick else (0, 1, 3, -1)
     for theta0 in (np.pi / 4, 0.0):
@@ -184,13 +185,12 @@ def _profiles(quick, soi_fault):
 
 
 def _phi_derivative(cfg, r, phi, z=0.0, t=0.0, h=1e-5):
-    """Closed-form field and its central difference in phi."""
-    psi = field_closed_form(cfg, r, phi, z, t)
-    dpsi = (
-        field_closed_form(cfg, r, phi + h, z, t)
-        - field_closed_form(cfg, r, phi - h, z, t)
-    ) / (2.0 * h)
-    return psi, dpsi
+    """Closed-form field at the points (r, phi, z, t), which broadcast
+    together, and its central difference in phi, from one field call."""
+    r, phi, z, t = (np.asarray(v, dtype=float)[..., None]
+                    for v in (r, phi, z, t))
+    psi = field_closed_form(cfg, r, phi + np.array([0.0, h, -h]), z, t)
+    return psi[..., 0, :], (psi[..., 1, :] - psi[..., 2, :]) / (2.0 * h)
 
 
 def _eigenstructure(quick, soi_fault):
@@ -208,12 +208,12 @@ def _eigenstructure(quick, soi_fault):
 
     # J_z eigenstate by central finite difference in phi
     worst = 0.0
-    pts = [(1.7, 0.9, 0.3, 0.2), (4.2, 2.5, -1.0, 0.7)]
+    # Columns r, phi, z, t of the two sample points.
+    pts = np.array([(1.7, 0.9, 0.3, 0.2), (4.2, 2.5, -1.0, 0.7)]).T
     for ell in (0, 1, -1, 3):
         for s in (0.5, -0.5):
             cfg = BeamConfig(p=2.4, theta0=np.pi / 4, ell=ell, s=s)
-            for (r, phi, z, t) in pts:
-                psi, dpsi = _phi_derivative(cfg, r, phi, z, t)
+            for psi, dpsi in zip(*_phi_derivative(cfg, *pts)):
                 jz_psi = -1j * dpsi + psi @ SIGMA_Z4.T
                 resid = np.linalg.norm(jz_psi - (ell + s) * psi)
                 worst = max(worst, float(resid / np.linalg.norm(psi)))
@@ -303,8 +303,11 @@ def _linear(quick, soi_fault):
     cfg = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5)
     rep = linear_expectations(cfg, widths=(40.0, 60.0, 90.0), radial_nodes=3000)
     target = cfg.ell + cfg.delta * cfg.s
-    v1 = cross_section_averages(cfg, 60.0, radial_nodes=3000)
-    v2 = cross_section_averages(cfg, 60.0, radial_nodes=6000)
+    # The ladder's a = 60 sample against the same width on a grid of
+    # half the spacing (2n - 1 Simpson nodes).
+    v1 = (rep.l_z_samples[1], rep.s_z_samples[1], rep.m_z_samples[1])
+    fine = 2 * _radial_node_count(60.0, 3000) - 1
+    v2 = cross_section_averages(cfg, 60.0, radial_nodes=fine)
     worst = max(abs((a - b) / a) for a, b in zip(v1, v2))
     return [
         CheckResult("linear_oam_density", abs(rep.l_z - target), 1e-3),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from diracbeams.bessel import bessel_j, bessel_j_orders, counting
+from diracbeams.bessel import MAX_ORDER, bessel_j, bessel_j_orders, counting
 
 
 def j_exact(n, x, digits=30):
@@ -133,6 +133,22 @@ def test_domain_errors():
     with pytest.raises(ValueError, match="tested domain"):
         bessel_j(199, 3e4)
     assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("n", [MAX_ORDER + 1, -(MAX_ORDER + 1), 200000])
+def test_order_above_max_order_rejected_at_once(n):
+    # The Miller start index grows with n: J_200000(1) once took 1.4 s.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"\|n\| <= {MAX_ORDER}"):
+        bessel_j_orders((0, n), [1.0, 5.0])
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_order_at_max_order_still_served():
+    xs = np.array([150.0, 300.0])
+    j = bessel_j_orders((MAX_ORDER, -MAX_ORDER), xs)
+    assert np.array_equal(j[0], j[1])
+    assert np.abs(j[0] - special.jv(MAX_ORDER, xs)).max() < 1e-13
 
 
 def test_array_shapes_preserved():

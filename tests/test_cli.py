@@ -125,6 +125,9 @@ class TestParsing:
         ["linear", "--radial-nodes", str(MAX_POINTS + 1)],
         ["linear", "--widths", f"40,{MAX_POINTS / 128.0}"],
         ["linear", "--widths", "40,1e6"],
+        # 17 x 61681 = MAX_POINTS + 1 sweep rows
+        ["sweep", "--p-points", "17", "--theta0-points", "61681"],
+        ["sweep", "--p-points", "100000", "--theta0-points", "100000"],
     ])
     def test_grid_above_cap_exits_1_at_once(self, argv, capsys):
         t0 = time.perf_counter()
@@ -132,6 +135,12 @@ class TestParsing:
         assert time.perf_counter() - t0 < 0.1
         err = capsys.readouterr().err
         assert err.startswith("parameter error:") and str(MAX_POINTS) in err
+
+    def test_sweep_help_names_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(["sweep", "--help"])
+        out = capsys.readouterr().out
+        assert out.count(str(MAX_POINTS)) == 2
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
