@@ -401,10 +401,14 @@ def build_parser():
     _add_beam_flags(p)
     p.add_argument("--widths", default="40,60,90,135",
                    help="comma-separated Gaussian xi-widths; each needs "
-                        f"128 a + 1 Simpson nodes, at most {MAX_POINTS}")
+                        "128 a + 1 Simpson nodes, and the field is evaluated "
+                        "once on the union of the grids, at most "
+                        f"{MAX_POINTS} nodes")
     p.add_argument("--radial-nodes", dest="radial_nodes", type=int,
                    default=4000,
-                   help=f"minimum Simpson nodes per width, below {MAX_POINTS}")
+                   help="minimum Simpson nodes per width, below "
+                        f"{MAX_POINTS}; the union of the widths' grids "
+                        "counts against the same cap")
     _add_out_flags(p)
     p.set_defaults(func=cmd_linear)
     return parser

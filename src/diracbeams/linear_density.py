@@ -7,6 +7,10 @@ extrapolating the width a to infinity: the averages approach their limit
 as 1/a^2, so c0 + c2/a^2 is fitted over a ladder of widths.  Widths are
 quoted in units of 1/k_perp, i.e. as dimensionless xi-widths.
 
+One request evaluates the field once for the whole ladder, on the union
+of the widths' Simpson grids (capped at MAX_POINTS nodes); each width
+then gathers its own nodes, applies its envelope and runs Simpson.
+
 Observables per unit z-length:
 
 * OAM density: the canonical -i d/dphi, which acts analytically on the
@@ -27,11 +31,12 @@ the moment comparisons so the difference stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .beams import MAX_POINTS, BeamConfig, field_closed_form
-from .dirac import current
+from .dirac import ALPHA
 
 SIGMA_Z_DIAG = np.array([0.5, -0.5, 0.5, -0.5])
 
@@ -114,16 +119,79 @@ def _fit_inverse_square_width(widths, values):
 
 
 def _radial_node_count(a, radial_nodes):
-    """Simpson nodes on [0, 8a]: at least radial_nodes and 16 per unit of
-    xi, odd; ValueError above MAX_POINTS, before anything is allocated."""
+    """Simpson nodes on [0, 8a]: at least radial_nodes, 16 per unit of xi
+    and 3, odd; ValueError above MAX_POINTS, before anything is allocated."""
     if 128.0 * a < MAX_POINTS:      # False for inf and NaN as well
-        n = max(int(radial_nodes), int(128.0 * a) + 1)
+        n = max(int(radial_nodes), int(128.0 * a) + 1, 3)
         if n % 2 == 0:
             n += 1
         if n <= MAX_POINTS:
             return n
     raise ValueError(f"width {a:g} with radial_nodes {radial_nodes} needs more "
                      f"than {MAX_POINTS} Simpson nodes")
+
+
+def _union_node_bound(widths, counts):
+    """Upper bound on the distinct nodes of the grids linspace(0, 8a, n).
+
+    linspace puts node k at fl(k h), h = fl(8a / (n - 1)), and the last
+    node at 8a; all grids share xi = 0.  A grid whose step h a longer grid
+    already has is therefore a prefix of it, but for its endpoint when
+    fl((n - 1) h) misses 8a.  Grids of different steps are counted as
+    sharing only xi = 0.  A zero step (subnormal a) makes linspace divide
+    instead, so such a grid is never counted as a prefix.
+    """
+    bound, steps = 1, set()
+    for a, n in sorted(zip(widths, counts), key=lambda grid: -grid[1]):
+        h = 8.0 * a / (n - 1)
+        if h in steps:
+            bound += int((n - 1) * h != 8.0 * a)
+        else:
+            bound += n - 1
+            if h:
+                steps.add(h)
+    return bound
+
+
+def _ladder_averages(cfg, widths, radial_nodes):
+    """Cross-section averages (L_z, S_z, M_z) per width, shape (len(widths), 3).
+
+    The field is evaluated once, on the union of the widths' Simpson
+    grids; each width gathers its own nodes from it, applies its envelope
+    and integrates in the one-width operation order.  The union is capped
+    at MAX_POINTS, checked before any array is allocated, and built one
+    grid at a time, so memory stays within the union plus one grid.
+    """
+    counts = [_radial_node_count(a, radial_nodes) for a in widths]
+    n_union = _union_node_bound(widths, counts)
+    if n_union > MAX_POINTS:
+        raise ValueError(f"widths {list(map(float, widths))} with radial_nodes "
+                         f"{radial_nodes} share up to {n_union} distinct nodes, "
+                         f"more than {MAX_POINTS} Simpson nodes")
+    beams = [RegularizedBeam(cfg, a) for a in widths]
+
+    def grids():
+        return (np.linspace(0.0, 8.0 * a, n) for a, n in zip(widths, counts))
+
+    xi = reduce(np.union1d, grids())
+    psi = field_closed_form(cfg, xi / cfg.k_perp, 0.0)
+    comp2 = (psi.conj() * psi).real  # |psi_c|^2, shape (n, 4)
+    rho = comp2.sum(axis=-1)
+    lz_den = comp2 @ _component_harmonics(cfg).astype(float)
+    sz_den = comp2 @ SIGMA_Z_DIAG
+    # phi = 0, so the azimuthal current is the alpha_y one.
+    jphi = np.einsum("...a,ab,...b->...", psi.conj(), ALPHA[1], psi).real
+
+    out = np.empty((len(widths), 3))
+    for row, beam, xi_w in zip(out, beams, grids()):
+        at = np.searchsorted(xi, xi_w)
+        g2 = beam.envelope(xi_w) ** 2
+        norm = _simpson(xi_w * (rho[at] * g2), xi_w)
+        row[0] = _simpson(xi_w * (lz_den[at] * g2), xi_w) / norm
+        row[1] = _simpson(xi_w * (sz_den[at] * g2), xi_w) / norm
+        row[2] = (cfg.energy / cfg.p_perp) * _simpson(
+            xi_w * xi_w * (jphi[at] * g2), xi_w) / norm
+    return out
 
 
 def cross_section_averages(cfg, a, radial_nodes=4000):
@@ -133,29 +201,10 @@ def cross_section_averages(cfg, a, radial_nodes=4000):
     harmonic, so cross terms between different windings drop); only the
     radial integral is numerical, by composite Simpson on [0, 8a], where
     the squared envelope has decayed below 1e-27.  The grid holds
-    max(radial_nodes, 128 a + 1) nodes, made odd, at most MAX_POINTS.
+    max(radial_nodes, 128 a + 1, 3) nodes, made odd, at most MAX_POINTS.
+    This is the one-width ladder of ``linear_expectations``.
     """
-    beam = RegularizedBeam(cfg, a)
-    xi_max = 8.0 * a
-    xi = np.linspace(0.0, xi_max, _radial_node_count(a, radial_nodes))
-    r = xi / cfg.k_perp
-
-    psi = field_closed_form(cfg, r, 0.0)
-    g2 = beam.envelope(xi) ** 2
-    comp2 = (psi.conj() * psi).real  # |psi_c|^2, shape (n, 4)
-
-    rho = comp2.sum(axis=-1) * g2
-    harmonics = _component_harmonics(cfg)
-    lz_den = comp2 @ harmonics.astype(float) * g2
-    sz_den = comp2 @ SIGMA_Z_DIAG * g2
-    # phi = 0, so the azimuthal unit vector is y-hat.
-    jphi = current(psi)[..., 1] * g2
-
-    norm = _simpson(xi * rho, xi)
-    l_z = _simpson(xi * lz_den, xi) / norm
-    s_z = _simpson(xi * sz_den, xi) / norm
-    m_z = (cfg.energy / cfg.p_perp) * _simpson(xi * xi * jphi, xi) / norm
-    return l_z, s_z, m_z
+    return tuple(_ladder_averages(cfg, (a,), radial_nodes)[0])
 
 
 def linear_expectations(cfg, widths=(40.0, 60.0, 90.0, 135.0),
@@ -166,11 +215,16 @@ def linear_expectations(cfg, widths=(40.0, 60.0, 90.0, 135.0),
     ----------
     cfg : BeamConfig with p > 0 and theta0 > 0.
     widths : increasing ladder of Gaussian xi-widths (largest should be
-        well above ~50 for the 1/a^2 fit to settle).
+        well above ~50 for the 1/a^2 fit to settle).  The field is
+        evaluated once, on the union of the widths' Simpson grids.  Grids
+        of 128 a + 1 nodes (a a multiple of 1/64, radial_nodes not above
+        128 a + 1), as in the default ladder, all have step 1/16, so each
+        is a prefix of the largest one.
     radial_nodes : minimum Simpson node count per width (the grid is
         refined automatically so the oscillatory integrands stay resolved).
-        A width whose grid would exceed MAX_POINTS nodes raises
-        ValueError before any width is sampled.
+        A width whose grid would exceed MAX_POINTS nodes, or a ladder
+        whose grids together might, raises ValueError before any array
+        is allocated.
     fit_tol : maximum tolerated residual of the c0 + c2/a^2 fit, relative
         to max(1, |c0|); beyond it an ExtrapolationError is raised.
 
@@ -185,12 +239,7 @@ def linear_expectations(cfg, widths=(40.0, 60.0, 90.0, 135.0),
         raise ValueError("need at least two widths")
     if not np.all(np.diff(widths) > 0.0):
         raise ValueError("widths must be strictly increasing")
-    for a in widths:
-        _radial_node_count(a, radial_nodes)
-
-    samples = np.array([
-        cross_section_averages(cfg, a, radial_nodes) for a in widths
-    ])
+    samples = _ladder_averages(cfg, widths, radial_nodes)
     l_s, s_s, m_s = samples[:, 0], samples[:, 1], samples[:, 2]
 
     report_vals = {}

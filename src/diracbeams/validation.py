@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .beams import BeamConfig, density_profile, field_closed_form
+from .beams import BeamConfig, density_profile, field_closed_form, spin_pair_profiles
 from .bessel import bessel_j_orders
 from .dirac import ALPHA, BETA, EYE4, current, density, energy, plane_wave_spinor, spin_basis
 from .foldy import (beam_expectations, berry_connection, berry_curvature,
@@ -196,11 +196,9 @@ def _phi_derivative(cfg, r, phi, z=0.0, t=0.0, h=1e-5):
 def _eigenstructure(quick, soi_fault):
     out = []
     # strict spin splitting at the first density peak (ell = 1, delta = 0.3)
-    cfg_m = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=-0.5)
-    cfg_p = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5)
+    cfg = BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5)
     fine = np.linspace(0.0, 6.0, 1201)
-    rho_m = density_profile(cfg_m, fine).rho
-    rho_p = density_profile(cfg_p, fine).rho
+    rho_p, rho_m = (prof.rho for prof in spin_pair_profiles(cfg, fine))
     peak = int(np.argmax(rho_m))
     split = float(abs(rho_p[peak] - rho_m[peak]))
     out.append(CheckResult("spin_splitting_at_peak", split, 1e-3, comparison=">=",

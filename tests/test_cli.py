@@ -125,6 +125,8 @@ class TestParsing:
         ["linear", "--radial-nodes", str(MAX_POINTS + 1)],
         ["linear", "--widths", f"40,{MAX_POINTS / 128.0}"],
         ["linear", "--widths", "40,1e6"],
+        # Each grid under the cap, their union of 1049639 nodes above it.
+        ["linear", "--widths", "4100,4100.3"],
         # 17 x 61681 = MAX_POINTS + 1 sweep rows
         ["sweep", "--p-points", "17", "--theta0-points", "61681"],
         ["sweep", "--p-points", "100000", "--theta0-points", "100000"],

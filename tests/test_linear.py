@@ -10,16 +10,25 @@ carries explicit comparisons instead of a single assertion.
 """
 
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracbeams import linear_density
 from diracbeams.beams import MAX_POINTS, BeamConfig, field_closed_form
+from diracbeams.bessel import counting
 from diracbeams.dirac import current, density
 from diracbeams.linear_density import (
+    SIGMA_Z_DIAG,
     ExtrapolationError,
     RegularizedBeam,
+    _component_harmonics,
+    _radial_node_count,
+    _simpson,
+    _union_node_bound,
     cross_section_averages,
     linear_expectations,
 )
@@ -82,12 +91,6 @@ class TestExtrapolatedValues:
 
 
 class TestNumericalBehavior:
-    def test_radial_node_doubling(self, cfg):
-        v1 = cross_section_averages(cfg, 60.0, radial_nodes=3000)
-        v2 = cross_section_averages(cfg, 60.0, radial_nodes=6000)
-        for a, b in zip(v1, v2):
-            assert abs((a - b) / a) <= 1e-8
-
     def test_width_set_shift_stability(self, cfg, report):
         shifted = linear_expectations(
             cfg, widths=tuple(1.5 * w for w in WIDTHS), radial_nodes=4000
@@ -139,6 +142,8 @@ class TestValidationAndErrors:
         ((40.0, 1e6), 4000),
         ((40.0, np.inf), 4000),
         ((40.0, 60.0), MAX_POINTS + 1),
+        # Each grid under the cap, their union of 1049639 nodes above it.
+        ((4100.0, 4100.3), 4000),
     ])
     def test_grid_above_cap_raises_before_any_width(self, cfg, widths,
                                                     radial_nodes, monkeypatch):
@@ -149,6 +154,10 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError, match=f"than {MAX_POINTS} Simpson"):
             linear_expectations(cfg, widths=widths, radial_nodes=radial_nodes)
         assert time.perf_counter() - t0 < 0.1
+
+    def test_tiny_width_gets_three_nodes(self, cfg):
+        assert _radial_node_count(1e-3, 1) == 3
+        assert np.all(np.isfinite(cross_section_averages(cfg, 1e-3, 1)))
 
     def test_degenerate_transverse_structure_rejected(self):
         cfg = BeamConfig(p=2.4, theta0=0.0, ell=1, s=0.5)
@@ -169,3 +178,97 @@ class TestRegularizedBeam:
             RegularizedBeam(cfg, a=0.0)
         with pytest.raises(ValueError):
             RegularizedBeam(BeamConfig(p=0.0, theta0=0.3, ell=0, s=0.5), a=10.0)
+
+
+def one_width_oracle(cfg, a, radial_nodes=4000):
+    """The earlier per-width evaluation: one field call per width."""
+    beam = RegularizedBeam(cfg, a)
+    xi_max = 8.0 * a
+    xi = np.linspace(0.0, xi_max, _radial_node_count(a, radial_nodes))
+    r = xi / cfg.k_perp
+
+    psi = field_closed_form(cfg, r, 0.0)
+    g2 = beam.envelope(xi) ** 2
+    comp2 = (psi.conj() * psi).real  # |psi_c|^2, shape (n, 4)
+
+    rho = comp2.sum(axis=-1) * g2
+    harmonics = _component_harmonics(cfg)
+    lz_den = comp2 @ harmonics.astype(float) * g2
+    sz_den = comp2 @ SIGMA_Z_DIAG * g2
+    # phi = 0, so the azimuthal unit vector is y-hat.
+    jphi = current(psi)[..., 1] * g2
+
+    norm = _simpson(xi * rho, xi)
+    l_z = _simpson(xi * lz_den, xi) / norm
+    s_z = _simpson(xi * sz_den, xi) / norm
+    m_z = (cfg.energy / cfg.p_perp) * _simpson(xi * xi * jphi, xi) / norm
+    return l_z, s_z, m_z
+
+
+def ladder_samples(rep):
+    return np.column_stack([rep.l_z_samples, rep.s_z_samples, rep.m_z_samples])
+
+
+ORACLE_CONFIGS = [
+    BeamConfig(p=2.4, theta0=np.pi / 4, ell=1, s=0.5),
+    BeamConfig(p=3.0, theta0=1.2, ell=-2, s=-0.5),
+    BeamConfig(p=1.5, theta0=0.6, ell=3, s=0.5),
+]
+
+beams = st.builds(
+    BeamConfig,
+    p=st.floats(0.05, 5.0),
+    theta0=st.floats(0.05, np.pi / 2),
+    ell=st.integers(-20, 20),
+    s=st.sampled_from([0.5, -0.5]),
+)
+# Even multiples of 1/128 get grids of step 1/16 once 128 a + 1 reaches
+# radial_nodes, each a prefix of the longest; other widths get steps of
+# their own, so the union is no prefix.
+widths = st.one_of(st.integers(256, 3840).map(lambda k: k / 128.0),
+                   st.floats(2.0, 30.0))
+ladders = st.lists(widths, min_size=1, max_size=4, unique=True).map(sorted)
+
+
+class TestOneFieldEvaluationPerLadder:
+    @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+    def test_default_ladder_equals_per_width_oracle_bitwise(self, cfg):
+        rep = linear_expectations(cfg, widths=WIDTHS)
+        oracle = np.array([one_width_oracle(cfg, a) for a in WIDTHS])
+        assert np.array_equal(ladder_samples(rep), oracle)
+        assert np.array_equal(cross_section_averages(cfg, 60.0),
+                              one_width_oracle(cfg, 60.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=beams, ladder=ladders,
+           radial_nodes=st.sampled_from([0, 1001, 4000]))
+    def test_ladder_matches_per_width_oracle(self, cfg, ladder, radial_nodes):
+        if len(ladder) == 1:
+            samples = np.array([cross_section_averages(cfg, ladder[0],
+                                                       radial_nodes)])
+        else:
+            samples = ladder_samples(linear_expectations(
+                cfg, widths=ladder, radial_nodes=radial_nodes, fit_tol=np.inf))
+        oracle = np.array([one_width_oracle(cfg, a, radial_nodes)
+                           for a in ladder])
+        assert np.all(np.abs(samples - oracle) <= 1e-14 * np.abs(oracle))
+        counts = [_radial_node_count(a, radial_nodes) for a in ladder]
+        union = reduce(np.union1d, (np.linspace(0.0, 8.0 * a, n)
+                                    for a, n in zip(ladder, counts)))
+        assert union.size <= _union_node_bound(ladder, counts)
+
+    def test_default_ladder_makes_one_bessel_call(self, cfg):
+        with counting() as c:
+            linear_expectations(cfg, widths=WIDTHS)
+        assert (c["calls"], c["values"]) == (1, 3 * 17281)
+
+    @pytest.mark.parametrize("ladder, radial_nodes, bound", [
+        (WIDTHS, 4000, 17281),                  # prefixes of the a = 135 grid
+        ((4096.0, 8000.0), 4000, 1024001),      # 1548290 nodes in all
+        # Steps 1/50 and 1/25: the union holds 6001 nodes, but grids of
+        # different steps count as sharing only xi = 0.
+        ((10.0, 20.0), 4000, 8001),
+    ])
+    def test_union_bound(self, ladder, radial_nodes, bound):
+        counts = [_radial_node_count(a, radial_nodes) for a in ladder]
+        assert _union_node_bound(ladder, counts) == bound
